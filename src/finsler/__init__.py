@@ -7,21 +7,16 @@ scalar flag curvature, verifies the characterization identities for
 scalar- and constant-curvature spaces, and classifies metrics.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
-from .berwald import ConnectionData, connection, h_cov_deriv, spray, \
-    v_cov_deriv
+from .berwald import ConnectionData, connection
 from .catalog import (CATALOG, CatalogEntry, build_catalog_metric,
                       default_metrics, euclidean, funk,
                       perturbed_riemannian, randers_pflat,
                       riemannian_space_form)
 from .core import (StructuralFrame, TensorValue, antisymmetrize,
                    cyclic_sum, indicatrix_project, structural_frame)
-from .curvature import (CurvatureBundle, bianchi_residual,
-                        curvature_bundle, deviation, h_curvature,
-                        vh_torsion)
-from .diff import (JetRequest, JetResult, fd_eval, jet_eval,
-                   vertical_jet)
+from .curvature import CurvatureBundle, curvature_bundle
 from .dsl import (MetricAst, ast_to_source, eval_ast, metric_from_dsl,
                   parse_metric)
 from .engine import ChartJets
@@ -30,15 +25,13 @@ from .errors import (ArityError, ConfigError, DegenerateMetric,
                      DslSyntaxError, EvalDomainError, FinslerError,
                      HomogeneityError, IndexOutOfRange,
                      InternalInconsistency, OrderUnsupported, RankError,
-                     StepTooSmall, UnknownIdentifier)
+                     UnknownIdentifier)
 from .fdpipe import FDPipeline
 from .metric import FinslerMetric, SamplePoint
 from .sampling import SamplingSpec, sample_points
-from .scalarclass import (ClassificationReport, ScalarData,
-                          check_corollary21, check_lemma31, check_prop21,
-                          check_theorem21, classify, extract_k,
-                          isotropy_residual, scalar_data, tensor_A,
-                          tensor_B, tensor_C, tensor_NF)
+from .scalarclass import (ClassificationReport, ScalarData, check_prop21,
+                          classify, extract_k, isotropy_residual,
+                          scalar_data)
 from .suites import SUITES, run_suites
 
 __all__ = [name for name in dir() if not name.startswith("_")]

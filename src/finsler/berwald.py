@@ -1,11 +1,8 @@
-"""Geodesic spray, nonlinear connection, connection coefficients, and
-the horizontal/vertical covariant derivatives.
+"""Geodesic spray, nonlinear connection and connection coefficients.
 
-Public operations take (metric, point) and return pointwise
-:class:`~finsler.core.TensorValue` data; tensor *fields* (things that
-must be re-differentiated) are represented as callables mapping a
-:class:`~finsler.engine.ChartJets` to a jet, e.g. ``lambda cj: cj.ell``.
-The covariant-derivative direction is always appended as the LAST slot.
+The covariant derivatives of tensor fields are
+:meth:`~finsler.engine.ChartJets.h_cov` (horizontal) and ``d_y``
+(vertical, since the vertical connection coefficients vanish).
 """
 
 from __future__ import annotations
@@ -13,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import TensorValue
-from .engine import ChartJets
+from .engine import ChartJets, chart_for
 from .metric import FinslerMetric, SamplePoint
 
 
@@ -28,53 +25,11 @@ class ConnectionData:
     Gamma: TensorValue
 
 
-def _chart(metric, p, chart, orders):
-    if chart is not None:
-        return chart
-    return ChartJets(metric, p, *orders)
-
-
-def spray(metric: FinslerMetric, p: SamplePoint,
-          chart: ChartJets = None) -> TensorValue:
-    """Geodesic spray coefficients G^i; homogeneous of degree 2 in y."""
-    cj = _chart(metric, p, chart, (1, 2))
-    return TensorValue(p, (1, 0), cj.G.value())
-
-
 def connection(metric: FinslerMetric, p: SamplePoint,
                chart: ChartJets = None) -> ConnectionData:
-    cj = _chart(metric, p, chart, (1, 4))
+    cj = chart_for(metric, p, chart, "Gamma")
     return ConnectionData(
         G=TensorValue(p, (1, 0), cj.G.value()),
         N=TensorValue(p, (1, 1), cj.N.value()),
         Gamma=TensorValue(p, (1, 2), cj.Gamma.value()),
     )
-
-
-def h_cov_deriv(metric: FinslerMetric, p: SamplePoint, field,
-                signature, chart: ChartJets = None,
-                orders=(2, 4)) -> TensorValue:
-    """Horizontal covariant derivative of a tensor field.
-
-    ``field(cj)`` must return the field as a jet at the chart point;
-    ``signature`` is its (r, s) variance with r in {0, 1}.  The new
-    covariant slot is appended last.
-    """
-    cj = _chart(metric, p, chart, orders)
-    r, s = signature
-    out = cj.h_cov(field(cj), contravariant_first=(r == 1))
-    return TensorValue(p, (r, s + 1), out.value())
-
-
-def v_cov_deriv(metric: FinslerMetric, p: SamplePoint, field,
-                signature, chart: ChartJets = None,
-                orders=(0, 3)) -> TensorValue:
-    """Vertical (fiber) covariant derivative: componentwise d/dy, since
-    the vertical connection coefficients vanish.  New slot appended
-    last."""
-    from .jets import d_y
-
-    cj = _chart(metric, p, chart, orders)
-    r, s = signature
-    out = d_y(field(cj))
-    return TensorValue(p, (r, s + 1), out.value())

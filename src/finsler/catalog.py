@@ -6,6 +6,7 @@ Each constructor returns a :class:`FinslerMetric`; the module-level
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -160,7 +161,13 @@ def build_catalog_metric(key, n, **params):
     if key not in CATALOG:
         raise ConfigError(f"unknown catalog metric {key!r}; "
                           f"known: {sorted(CATALOG)}")
-    return CATALOG[key].build(n, **params)
+    build = CATALOG[key].build
+    known = list(inspect.signature(build).parameters)[1:]  # after n
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown params {unknown} for catalog metric "
+                          f"{key!r}; known: {known}")
+    return build(n, **params)
 
 
 def default_metrics(n=3, seed=0):

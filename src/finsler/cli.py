@@ -38,12 +38,12 @@ import numpy as np
 from . import __version__
 from .catalog import build_catalog_metric
 from .dsl import metric_from_dsl
-from .engine import ChartJets
+from .engine import REQUIRED_ORDERS, ChartJets
 from .errors import ConfigError, DslError, FinslerError, HomogeneityError
 from .fdpipe import FDPipeline
 from .sampling import SamplingSpec, sample_points
 from .scalarclass import classify
-from .suites import SUITES, UNIVERSAL_SUITES, orders_for, run_suites
+from .suites import SUITES, run_suites
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -89,19 +89,26 @@ def _build_metric(cfg):
         constants=spec.get("constants", {}))
 
 
+def _is_number(v, kinds=(int, float)):
+    # bool is a subclass of int, but JSON true/false is never a number
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 def _sampling(cfg, args):
     s = cfg.get("sampling", {})
     if not isinstance(s, dict):
         raise ConfigError("'sampling' must be an object")
     count = args.samples if args.samples is not None else s.get("count", 20)
     seed = args.seed if args.seed is not None else s.get("seed", 0)
-    if not isinstance(count, int) or count < 1:
+    if not _is_number(count, int) or count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count!r}")
+    if not _is_number(seed, int) or seed < 0:
+        raise ConfigError(
+            f"sampling seed must be a non-negative integer, got {seed!r}")
     radius = s.get("radius")
-    if radius is not None and not (isinstance(radius, (int, float))
-                                   and radius > 0):
+    if radius is not None and not (_is_number(radius) and radius > 0):
         raise ConfigError(f"invalid sampling radius {radius!r}")
-    return SamplingSpec(count=count, seed=int(seed), radius=radius)
+    return SamplingSpec(count=count, seed=seed, radius=radius)
 
 
 def _backend(cfg, args):
@@ -117,7 +124,7 @@ def _tolerances(cfg):
     if not isinstance(tols, dict):
         raise ConfigError("'tolerances' must be an object")
     for key, val in tols.items():
-        if not (isinstance(val, (int, float)) and val > 0):
+        if not (_is_number(val) and val > 0):
             raise ConfigError(f"tolerance {key!r} must be positive")
     return tols
 
@@ -165,7 +172,7 @@ def cmd_tensors(cfg, args):
         _emit(stream, _header("tensors", cfg, metric, spec, backend))
         for idx, p in enumerate(points):
             if backend == "jet":
-                cj = ChartJets(metric, p, 2, 7)
+                cj = ChartJets(metric, p, *REQUIRED_ORDERS["A"])
                 values = {
                     "L": cj.L.value(), "g": cj.g.value(), "G": cj.G.value(),
                     "N": cj.N.value(), "Gamma": cj.Gamma.value(),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ChartJets
+from .engine import ChartJets, chart_for
 from .errors import RankError
 from .metric import FinslerMetric, SamplePoint
 
@@ -73,7 +73,7 @@ class StructuralFrame:
 def structural_frame(metric: FinslerMetric, p: SamplePoint,
                      chart: ChartJets = None) -> StructuralFrame:
     """Evaluate L, g, g^-1, ell, phi, hbar at p."""
-    cj = chart if chart is not None else ChartJets(metric, p, 0, 2)
+    cj = chart_for(metric, p, chart, "g_inv")
     return StructuralFrame(
         L=cj.L.value(),
         g=TensorValue(p, (0, 2), cj.g.value()),

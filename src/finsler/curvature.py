@@ -10,16 +10,17 @@ the overall sign so the round sphere model comes out positive):
   the fiber derivative of Rhat in the Z direction; contracting Z with y
   reproduces Rhat.
 * ``R_lowered[x, y, z, w] = g_iw R^i_xyz``.
+
+The Bianchi-type cyclic identity is checked by the ``bianchi`` suite in
+:mod:`finsler.suites`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import TensorValue
-from .engine import ChartJets
+from .engine import ChartJets, chart_for
 from .metric import FinslerMetric, SamplePoint
 
 
@@ -31,50 +32,12 @@ class CurvatureBundle:
     R_lowered: TensorValue  # (0,4), slots (X, Y, Z, W)
 
 
-def _chart(metric, p, chart, orders):
-    return chart if chart is not None else ChartJets(metric, p, *orders)
-
-
-def vh_torsion(metric: FinslerMetric, p: SamplePoint,
-               chart: ChartJets = None) -> TensorValue:
-    cj = _chart(metric, p, chart, (2, 4))
-    return TensorValue(p, (1, 2), cj.Rhat.value())
-
-
-def deviation(metric: FinslerMetric, p: SamplePoint,
-              chart: ChartJets = None) -> TensorValue:
-    cj = _chart(metric, p, chart, (2, 4))
-    return TensorValue(p, (1, 1), cj.H.value())
-
-
-def h_curvature(metric: FinslerMetric, p: SamplePoint,
-                chart: ChartJets = None):
-    """The full horizontal curvature and its fully covariant form."""
-    cj = _chart(metric, p, chart, (2, 5))
-    return (TensorValue(p, (1, 3), cj.R.value()),
-            TensorValue(p, (0, 4), cj.R_low.value()))
-
-
 def curvature_bundle(metric: FinslerMetric, p: SamplePoint,
                      chart: ChartJets = None) -> CurvatureBundle:
-    cj = _chart(metric, p, chart, (2, 5))
+    cj = chart_for(metric, p, chart, "R_low")
     return CurvatureBundle(
         Rhat=TensorValue(p, (1, 2), cj.Rhat.value()),
         R=TensorValue(p, (1, 3), cj.R.value()),
         H=TensorValue(p, (1, 1), cj.H.value()),
         R_lowered=TensorValue(p, (0, 4), cj.R_low.value()),
     )
-
-
-def bianchi_residual(metric: FinslerMetric, p: SamplePoint,
-                     chart: ChartJets = None) -> float:
-    """Norm of the cyclic sum of the horizontal covariant derivative of
-    the torsion Rhat, normalized by the derivative's own magnitude.
-    Vanishes identically on every Finsler metric."""
-    cj = _chart(metric, p, chart, (3, 5))
-    hR = cj.h_cov(cj.Rhat, contravariant_first=True).value()
-    # intrinsic slot order: differentiation direction first
-    t = hR.transpose(0, 3, 1, 2)
-    cyc = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
-    scale = max(float(np.abs(hR).max()), 1.0)
-    return float(np.abs(cyc).max()) / scale

@@ -32,7 +32,8 @@ from .metric import FinslerMetric, SamplePoint
 
 _LETTERS = "abcdefgh"
 
-# minimum jet orders (px, py) each pipeline attribute needs
+# minimum jet orders (px, py) each pipeline attribute needs; the single
+# source of jet orders outside the identity suites
 REQUIRED_ORDERS = {
     "L": (0, 0), "E": (0, 0), "ell": (0, 1), "g": (0, 2), "g_inv": (0, 2),
     "phi": (0, 1), "hbar": (0, 2), "G": (1, 2), "N": (1, 3),
@@ -40,6 +41,15 @@ REQUIRED_ORDERS = {
     "C": (2, 5), "B": (2, 6), "A": (2, 7), "Ntensor": (2, 6), "F": (2, 6),
     "R": (2, 5), "R_low": (2, 5),
 }
+
+
+def chart_for(metric: FinslerMetric, p: SamplePoint, chart: ChartJets,
+              attr: str) -> ChartJets:
+    """``chart`` when given, else a new :class:`ChartJets` at p with the
+    jet orders that attribute ``attr`` needs."""
+    if chart is not None:
+        return chart
+    return ChartJets(metric, p, *REQUIRED_ORDERS[attr])
 
 
 class ChartJets:

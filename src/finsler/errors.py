@@ -30,11 +30,6 @@ class OrderUnsupported(FinslerError):
     was requested."""
 
 
-class StepTooSmall(FinslerError):
-    """Finite-difference cancellation detected (non-monotone Richardson
-    sequence)."""
-
-
 class DslError(FinslerError):
     """Base class for metric-DSL errors.  Positions are 1-based."""
 

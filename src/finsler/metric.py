@@ -69,9 +69,11 @@ class FinslerMetric:
 
     def check_homogeneity(self, points, rtol=1e-8):
         """Euler check y . dL/dy = L; raises HomogeneityError on failure."""
+        from .engine import REQUIRED_ORDERS  # engine imports this module
+
         for p in points:
             self.check_point(p)
-            sp = jets.get_space(self.n, 0, 1)
+            sp = jets.get_space(self.n, *REQUIRED_ORDERS["ell"])
             xs = [sp.constant(v) for v in p.x]
             ys = [sp.coordinate("y", q, p.y[q]) for q in range(self.n)]
             L = self.evaluate(xs, ys)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvalDomainError
 from .metric import FinslerMetric, SamplePoint
 
 
@@ -49,7 +49,7 @@ def sample_points(metric: FinslerMetric, spec: SamplingSpec):
         try:
             if metric.L(p) <= 0.0:
                 continue
-        except DomainError:
+        except (DomainError, EvalDomainError):
             continue
         points.append(p)
     return points

@@ -13,12 +13,11 @@ bug and raises InternalInconsistency rather than producing a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .core import TensorValue
-from .engine import ChartJets
+from .engine import REQUIRED_ORDERS, ChartJets, chart_for
 from .errors import ConfigError, DimensionTooSmall, InternalInconsistency
 from .fdpipe import FDPipeline
 from .metric import FinslerMetric, SamplePoint
@@ -69,16 +68,12 @@ class ClassificationReport:
         }
 
 
-def _chart(metric, p, chart, orders):
-    return chart if chart is not None else ChartJets(metric, p, *orders)
-
-
 def extract_k(metric: FinslerMetric, p: SamplePoint,
               chart: ChartJets = None) -> float:
     """k = trace(H) / ((n-1) L^2); on an isotropic metric this is the
     flag curvature, on a generic metric it is the trace average used by
     isotropy_residual."""
-    cj = _chart(metric, p, chart, (2, 4))
+    cj = chart_for(metric, p, chart, "k")
     return float(cj.k.value())
 
 
@@ -86,41 +81,14 @@ def isotropy_residual(metric: FinslerMetric, p: SamplePoint,
                       chart: ChartJets = None) -> float:
     """|H - k L^2 phi| / max(|H|, L^2); zero iff the deviation tensor is
     isotropic at p."""
-    cj = _chart(metric, p, chart, (2, 4))
-    L2 = cj.L.value() ** 2
-    H = cj.H.value()
-    pred = cj.k.value() * L2 * cj.phi.value()
-    return float(np.abs(H - pred).max() / max(np.abs(H).max(), L2))
-
-
-def tensor_C(metric: FinslerMetric, p: SamplePoint,
-             chart: ChartJets = None) -> TensorValue:
-    cj = _chart(metric, p, chart, (2, 5))
-    return TensorValue(p, (0, 1), cj.C.value())
-
-
-def tensor_B(metric: FinslerMetric, p: SamplePoint,
-             chart: ChartJets = None) -> TensorValue:
-    cj = _chart(metric, p, chart, (2, 6))
-    return TensorValue(p, (0, 2), cj.B.value())
-
-
-def tensor_A(metric: FinslerMetric, p: SamplePoint,
-             chart: ChartJets = None) -> TensorValue:
-    cj = _chart(metric, p, chart, (2, 7))
-    return TensorValue(p, (0, 3), cj.A.value())
-
-
-def tensor_NF(metric: FinslerMetric, p: SamplePoint,
-              chart: ChartJets = None):
-    cj = _chart(metric, p, chart, (2, 6))
-    return (TensorValue(p, (0, 2), cj.Ntensor.value()),
-            TensorValue(p, (0, 2), cj.F.value()))
+    cj = chart_for(metric, p, chart, "H")
+    return suites.isotropy(cj.H.value(), cj.k.value(), cj.L.value(),
+                           cj.phi.value())
 
 
 def scalar_data(metric: FinslerMetric, p: SamplePoint,
                 chart: ChartJets = None) -> ScalarData:
-    cj = _chart(metric, p, chart, (2, 7))
+    cj = chart_for(metric, p, chart, "A")
     return ScalarData(
         k=float(cj.k.value()),
         C=TensorValue(p, (0, 1), cj.C.value()),
@@ -131,36 +99,15 @@ def scalar_data(metric: FinslerMetric, p: SamplePoint,
     )
 
 
-# ---------------------------------------------------------------------------
-# per-identity checks (thin wrappers over the suites)
-
-
-def check_theorem21(metric: FinslerMetric, p: SamplePoint,
-                    chart: ChartJets = None) -> dict:
-    cj = _chart(metric, p, chart, (2, 6))
-    return suites.suite_theorem21(cj)
-
-
-def check_corollary21(metric: FinslerMetric, p: SamplePoint,
-                      chart: ChartJets = None) -> dict:
-    cj = _chart(metric, p, chart, (2, 6))
-    return suites.suite_corollary21(cj)
-
-
 def check_prop21(metric: FinslerMetric, p: SamplePoint,
                  chart: ChartJets = None) -> dict:
-    cj = _chart(metric, p, chart, (2, 6))
+    """The prop21 suite plus the two projected norms it compares."""
+    cj = chart_for(metric, p, chart, "Ntensor")
     out = dict(suites.suite_prop21(cj))
     pr, pn = suites.projected_norms(cj)
     out["projected_curvature_norm"] = pr
     out["projected_N_norm"] = pn
     return out
-
-
-def check_lemma31(metric: FinslerMetric, p: SamplePoint,
-                  chart: ChartJets = None) -> dict:
-    cj = _chart(metric, p, chart, (2, 7))
-    return suites.suite_lemma31(cj)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +135,10 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
     a_norm = []
     for p in points:
         if backend == "jet":
-            cj = ChartJets(metric, p, 2, 7)
-            L2 = cj.L.value() ** 2
-            H = cj.H.value()
+            cj = ChartJets(metric, p, *REQUIRED_ORDERS["A"])
             k = float(cj.k.value())
-            pred = k * L2 * cj.phi.value()
-            iso.append(float(np.abs(H - pred).max()
-                             / max(np.abs(H).max(), L2)))
+            iso.append(suites.isotropy(cj.H.value(), k, cj.L.value(),
+                                       cj.phi.value()))
             ks.append(k)
             c_norm.append(float(np.abs(cj.C.value()).max()))
             b_norm.append(float(np.abs(cj.B.value()).max()))
@@ -202,12 +146,9 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
         else:
             fd = FDPipeline(metric)
             T = fd.tensors(p)
-            L2 = T["L"] ** 2
             ell = T["g"] @ p.y / T["L"]
             phi = np.eye(metric.n) - np.outer(p.y, ell) / T["L"]
-            pred = T["k"] * L2 * phi
-            iso.append(float(np.abs(T["H"] - pred).max()
-                             / max(np.abs(T["H"]).max(), L2)))
+            iso.append(suites.isotropy(T["H"], T["k"], T["L"], phi))
             ks.append(T["k"])
             c_norm.append(float(np.abs(fd.c_form(p)).max()))
 

@@ -29,6 +29,12 @@ def _rel(diff, *refs):
     return _mx(diff) / scale
 
 
+def isotropy(H, k, L, phi):
+    """|H - k L^2 phi| / max(|H|, L^2): zero iff the deviation tensor H
+    is isotropic.  Shared by the theorem21 suite and classification."""
+    return _mx(H - k * L * L * phi) / max(_mx(H), L * L)
+
+
 def _d2(cj, field_jet):
     """Intrinsic second vertical derivative layout: the differentiation
     direction moved to the FIRST slot (storage appends it last)."""
@@ -129,7 +135,7 @@ def suite_theorem21(cj: ChartJets):
     C = cj.C.value()
     B = cj.B.value()
 
-    iso = _mx(H - k * L * L * phi) / max(_mx(H), L * L)
+    iso = isotropy(H, k, L, phi)
 
     psi = k * ell + C / 3.0
     tors = L * (np.einsum("iy,x->ixy", phi, psi)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finsler import catalog
-from finsler.berwald import connection, h_cov_deriv, spray, v_cov_deriv
+from finsler.berwald import connection
 from finsler.engine import ChartJets
 from finsler.jets import d_y, jet_einsum
 from finsler.metric import SamplePoint
@@ -14,6 +14,12 @@ from finsler.sampling import SamplingSpec, sample_points
 from oracles import christoffel_fd, space_form_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
+
+
+def spray(metric, p):
+    """The geodesic spray G^i at the orders it needs."""
+    return ChartJets(metric, p, 1, 2).G.value()
+
 
 ALL_METRICS = [
     catalog.euclidean(3),
@@ -27,28 +33,26 @@ ALL_METRICS = [
 
 class TestSpray:
     def test_euclidean_vanishes(self):
-        assert np.abs(spray(catalog.euclidean(3), P).components).max() == 0.0
+        assert np.abs(spray(catalog.euclidean(3), P)).max() == 0.0
 
     @pytest.mark.parametrize("kappa", [1.0, -1.0])
     def test_riemannian_christoffel_oracle(self, kappa):
         metric = catalog.riemannian_space_form(3, kappa)
         gamma = christoffel_fd(space_form_a(kappa), P.x)
         expected = 0.5 * np.einsum("ijk,j,k->i", gamma, P.y, P.y)
-        np.testing.assert_allclose(spray(metric, P).components, expected,
-                                   atol=1e-9)
+        np.testing.assert_allclose(spray(metric, P), expected, atol=1e-9)
 
     def test_perturbed_christoffel_oracle(self):
         metric = catalog.perturbed_riemannian(3, seed=0)
         gamma = christoffel_fd(metric.a_matrix, P.x)
         expected = 0.5 * np.einsum("ijk,j,k->i", gamma, P.y, P.y)
-        np.testing.assert_allclose(spray(metric, P).components, expected,
-                                   atol=1e-8)
+        np.testing.assert_allclose(spray(metric, P), expected, atol=1e-8)
 
     def test_degree_two_homogeneity(self):
         metric = catalog.funk(3)
-        G1 = spray(metric, P).components
+        G1 = spray(metric, P)
         P2 = SamplePoint(P.x, 2.0 * P.y)
-        G2 = spray(metric, P2).components
+        G2 = spray(metric, P2)
         np.testing.assert_allclose(G2, 4.0 * G1, rtol=1e-10)
 
 
@@ -86,41 +90,38 @@ class TestCovariantDerivatives:
     @pytest.mark.parametrize("metric", ALL_METRICS,
                              ids=lambda m: m.name)
     def test_horizontal_constancy(self, metric):
-        dL = h_cov_deriv(metric, P, lambda cj: cj.L, (0, 0))
-        assert np.abs(dL.components).max() < 1e-10
-        dell = h_cov_deriv(metric, P, lambda cj: cj.ell, (0, 1))
-        assert np.abs(dell.components).max() < 1e-10
+        cj = ChartJets(metric, P, 2, 4)
+        assert np.abs(cj.h_cov(cj.L).value()).max() < 1e-10
+        assert np.abs(cj.h_cov(cj.ell).value()).max() < 1e-10
 
     def test_euclidean_constant_field(self):
-        metric = catalog.euclidean(3)
-        const = np.array([1.0, 2.0, 3.0])
-        out = h_cov_deriv(metric, P,
-                          lambda cj: cj.space.constant(const), (0, 1))
-        assert np.abs(out.components).max() == 0.0
+        cj = ChartJets(catalog.euclidean(3), P, 2, 4)
+        const = cj.space.constant(np.array([1.0, 2.0, 3.0]))
+        assert np.abs(cj.h_cov(const).value()).max() == 0.0
+
+    # vertical covariant derivatives are plain fiber derivatives d_y,
+    # since the vertical connection coefficients vanish
 
     def test_vertical_of_L_is_ell(self):
         metric = catalog.funk(3)
         cj = ChartJets(metric, P, 0, 3)
-        out = v_cov_deriv(metric, P, lambda c: c.L, (0, 0), chart=cj)
-        np.testing.assert_allclose(out.components, cj.ell.value(),
+        np.testing.assert_allclose(d_y(cj.L).value(), cj.ell.value(),
                                    atol=1e-12)
 
     def test_vertical_of_phi(self):
         metric = catalog.randers_pflat(3)
         cj = ChartJets(metric, P, 0, 3)
-        out = v_cov_deriv(metric, P, lambda c: c.phi, (1, 1), chart=cj)
         L = cj.L.value()
         phi, ell = cj.phi.value(), cj.ell.value()
         hbar = cj.hbar.value()
         pred = -(np.einsum("jc,i->ijc", hbar, P.y)
                  + L * np.einsum("ic,j->ijc", phi, ell)) / (L * L)
-        np.testing.assert_allclose(out.components, pred, atol=1e-10)
+        np.testing.assert_allclose(d_y(cj.phi).value(), pred, atol=1e-10)
 
     def test_vertical_of_x_independent_scalar(self):
-        metric = catalog.euclidean(3)
-        out = v_cov_deriv(metric, P,
-                          lambda cj: cj.space.constant(3.7), (0, 0))
-        assert np.abs(out.components).max() == 0.0
+        cj = ChartJets(catalog.euclidean(3), P, 0, 3)
+        out = d_y(cj.space.constant(3.7))
+        assert np.abs(out.value()).max() == 0.0
 
 
 class TestHomogeneityLadder:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import finsler
 from finsler.cli import main
 
 
@@ -66,6 +67,7 @@ class TestVerify:
         assert main(["verify", "--config", funk_cfg, "--out", out]) == 0
         lines = read_jsonl(out)
         assert lines[0]["command"] == "verify"
+        assert lines[0]["version"] == finsler.__version__
         body, summary = lines[1:-1], lines[-1]
         assert all(rec["pass"] for rec in body)
         assert summary["summary"] == "max_residual_per_identity"
@@ -165,6 +167,25 @@ class TestConfigValidation:
             "sampling": {"count": 0},
         })
         assert main(["tensors", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"sampling": {"count": 1, "seed": "abc"}},
+        {"sampling": {"count": 1, "seed": 1.5}},
+        {"sampling": {"count": 1, "seed": -1}},
+        {"sampling": {"count": True}},
+        {"sampling": {"count": 1, "radius": True}},
+        {"tolerances": {"default": True}},
+        {"metric": {"catalog": "funk", "dimension": 3,
+                    "params": {"kappa": 1}}},
+    ], ids=["seed-string", "seed-float", "seed-negative", "count-bool",
+            "radius-bool", "tolerance-bool", "unknown-param"])
+    def test_bad_value_config_error(self, tmp_path, capsys, change):
+        cfg = {"metric": {"catalog": "funk", "dimension": 3},
+               "sampling": {"count": 1, "seed": 0}}
+        cfg.update(change)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["verify", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_fd_backend_tensors(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

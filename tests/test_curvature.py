@@ -6,15 +6,29 @@ import numpy as np
 import pytest
 
 from finsler import catalog
-from finsler.curvature import (bianchi_residual, curvature_bundle,
-                               deviation, h_curvature, vh_torsion)
+from finsler.curvature import curvature_bundle
 from finsler.engine import ChartJets
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
-from finsler.suites import suite_bianchi
+from finsler.suites import SUITE_ORDERS, suite_bianchi
 from oracles import deviation_fd, riemann_fd, space_form_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
+
+
+def torsion(metric, p):
+    return ChartJets(metric, p, 2, 4).Rhat.value()
+
+
+def deviation(metric, p):
+    return ChartJets(metric, p, 2, 4).H.value()
+
+
+def bianchi_cyclic(metric, p):
+    """The cyclic-identity residual of the bianchi suite."""
+    cj = ChartJets(metric, p, *SUITE_ORDERS["bianchi"])
+    return suite_bianchi(cj)["cyclic_identity"]
+
 
 ALL_METRICS = [
     catalog.euclidean(3),
@@ -28,12 +42,11 @@ ALL_METRICS = [
 
 class TestTorsion:
     def test_euclidean_zero(self):
-        assert np.abs(
-            vh_torsion(catalog.euclidean(3), P).components).max() == 0.0
+        assert np.abs(torsion(catalog.euclidean(3), P)).max() == 0.0
 
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_antisymmetry(self, metric):
-        arr = vh_torsion(metric, P).components
+        arr = torsion(metric, P)
         scale = max(1.0, np.abs(arr).max())
         assert np.abs(arr + arr.transpose(0, 2, 1)).max() / scale < 1e-10
 
@@ -50,13 +63,12 @@ class TestTorsion:
 
 class TestDeviation:
     def test_euclidean_zero(self):
-        assert np.abs(
-            deviation(catalog.euclidean(3), P).components).max() == 0.0
+        assert np.abs(deviation(catalog.euclidean(3), P)).max() == 0.0
 
     @pytest.mark.parametrize("kappa", [1.0, -1.0])
     def test_riemann_oracle_space_form(self, kappa):
         metric = catalog.riemannian_space_form(3, kappa)
-        H = deviation(metric, P).components
+        H = deviation(metric, P)
         oracle = deviation_fd(space_form_a(kappa), P.x, P.y)
         np.testing.assert_allclose(H, oracle, atol=1e-6)
         # closed form: H = kappa L^2 phi
@@ -66,21 +78,21 @@ class TestDeviation:
 
     def test_riemann_oracle_perturbed(self):
         metric = catalog.perturbed_riemannian(3, seed=0)
-        H = deviation(metric, P).components
+        H = deviation(metric, P)
         oracle = deviation_fd(metric.a_matrix, P.x, P.y)
         assert np.abs(H - oracle).max() < 1e-5 * max(1, np.abs(H).max())
 
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_kills_direction(self, metric):
-        H = deviation(metric, P).components
+        H = deviation(metric, P)
         assert np.abs(H @ P.y).max() < 1e-10 * max(1, np.abs(H).max())
 
 
 class TestFullCurvature:
     def test_euclidean_zero(self):
-        R, Rlow = h_curvature(catalog.euclidean(3), P)
-        assert np.abs(R.components).max() == 0.0
-        assert np.abs(Rlow.components).max() == 0.0
+        cj = ChartJets(catalog.euclidean(3), P, 2, 5)
+        assert np.abs(cj.R.value()).max() == 0.0
+        assert np.abs(cj.R_low.value()).max() == 0.0
 
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_contracts_to_torsion(self, metric):
@@ -92,12 +104,12 @@ class TestFullCurvature:
     @pytest.mark.parametrize("kappa", [1.0, -1.0])
     def test_lowered_matches_riemann_oracle(self, kappa):
         metric = catalog.riemannian_space_form(3, kappa)
-        _, Rlow = h_curvature(metric, P)
+        Rlow = ChartJets(metric, P, 2, 5).R_low.value()
         riem = riemann_fd(space_form_a(kappa), P.x)
         a0 = space_form_a(kappa)(P.x)
         lowered = np.einsum("wi,ijkl->jklw", a0, riem)
         oracle = lowered.transpose(2, 1, 0, 3)  # slot arrangement
-        np.testing.assert_allclose(Rlow.components, oracle, atol=1e-6)
+        np.testing.assert_allclose(Rlow, oracle, atol=1e-6)
 
     @pytest.mark.parametrize("kappa", [1.0, -1.0])
     def test_lowered_closed_form(self, kappa):
@@ -121,14 +133,14 @@ class TestUniversalIdentities:
 
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_bianchi_cyclic_sum(self, metric):
-        assert bianchi_residual(metric, P) < 1e-10
+        assert bianchi_cyclic(metric, P) < 1e-10
 
     def test_bianchi_funk_many_points(self):
         metric = catalog.funk(3)
         for p in sample_points(metric, SamplingSpec(count=20, seed=17)):
-            assert bianchi_residual(metric, p) < 1e-6
+            assert bianchi_cyclic(metric, p) < 1e-6
 
     def test_bianchi_sphere(self):
         metric = catalog.riemannian_space_form(3, 1.0)
         for p in sample_points(metric, SamplingSpec(count=5, seed=18)):
-            assert bianchi_residual(metric, p) < 1e-6
+            assert bianchi_cyclic(metric, p) < 1e-6

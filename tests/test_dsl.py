@@ -6,10 +6,10 @@ import pytest
 from finsler import catalog
 from finsler.dsl import (ast_to_source, eval_ast, metric_from_dsl,
                          parse_metric, structurally_equal)
-from finsler.errors import (ArityError, DslSyntaxError, EvalDomainError,
-                            HomogeneityError, IndexOutOfRange,
-                            UnknownIdentifier)
-from finsler.metric import SamplePoint
+from finsler.errors import (ArityError, DomainError, DslSyntaxError,
+                            EvalDomainError, HomogeneityError,
+                            IndexOutOfRange, UnknownIdentifier)
+from finsler.metric import FinslerMetric, SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
 
 EUCLID = "sqrt(norm2(y))"
@@ -146,3 +146,19 @@ class TestMetricConstruction:
     def test_homogeneity_rejection(self):
         with pytest.raises(HomogeneityError):
             metric_from_dsl("norm2(y)", 3)  # degree 2, not 1
+
+    def test_sampling_rejects_draws_outside_natural_domain(self):
+        """Draws where L cannot be evaluated are rejected, not fatal."""
+        metric = metric_from_dsl("sqrt(1 - norm2(x)) * sqrt(norm2(y))", 3)
+        points = sample_points(metric,
+                               SamplingSpec(count=5, seed=0, radius=1.5))
+        assert len(points) == 5
+        assert all(np.linalg.norm(p.x) < 1.0 for p in points)
+
+    def test_sampling_gives_up_on_empty_domain(self):
+        def nowhere(x, y):
+            raise EvalDomainError("sqrt of a negative value")
+
+        metric = FinslerMetric(n=3, evaluate=nowhere, name="nowhere")
+        with pytest.raises(DomainError):
+            sample_points(metric, SamplingSpec(count=2, seed=0))

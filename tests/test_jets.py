@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsler import catalog
+from finsler.engine import ChartJets
 from finsler.errors import EvalDomainError, OrderUnsupported
 from finsler.jets import (Jet, d_x, d_y, get_space, jcos, jet_einsum,
                           jet_matrix_inverse, jexp, jlog, jsin, jsqrt,
                           jstack)
+from finsler.metric import SamplePoint
+
+P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 
 
 def seed(n=2, px=2, py=3, x=(0.3, -0.2), y=(1.1, 0.7)):
@@ -54,6 +59,85 @@ class TestBasics:
             f.dy(0).dy(0).dy(0)
         with pytest.raises(OrderUnsupported):
             f.partial(xs=(0, 0))
+
+
+def norm2(y):
+    acc = y[0] * y[0]
+    for v in y[1:]:
+        acc = acc + v * v
+    return acc
+
+
+def partials(field, p, px, py):
+    """The px-fold x- then py-fold y-derivative array of field(x, y) at p,
+    x-axes first."""
+    xs, ys = get_space(p.n, px, py).seed(p.x, p.y)
+    f = field(xs, ys)
+    for _ in range(px):
+        f = d_x(f)
+    for _ in range(py):
+        f = d_y(f)
+    return np.asarray(f.value())
+
+
+class TestPartials:
+    """Exact mixed partials in three dimensions against closed forms."""
+
+    def test_quadratic(self):
+        hess = partials(lambda x, y: norm2(y), P, 0, 2)
+        np.testing.assert_allclose(hess, 2.0 * np.eye(3), atol=1e-14)
+
+    def test_mixed_bilinear(self):
+        xs, ys = get_space(3, 2, 2).seed(P.x, P.y)
+        dxf = d_x(xs[0] * ys[1])
+        expected = np.zeros((3, 3))
+        expected[0, 1] = 1.0
+        np.testing.assert_allclose(d_y(dxf).value(), expected, atol=1e-14)
+        dxxf = d_x(dxf)
+        assert np.abs(d_y(d_y(dxxf)).value()).max() < 1e-14
+        assert np.abs(d_y(dxxf).value()).max() < 1e-14
+
+    def test_euler_degree_one(self):
+        p = SamplePoint([0.0, 0.0, 0.0], [1.0, 2.0, 2.0])
+        xs, ys = get_space(3, 0, 1).seed(p.x, p.y)
+        f = jsqrt(norm2(ys))
+        assert float(p.y @ d_y(f).value()) == pytest.approx(3.0)
+        assert f.value() == pytest.approx(3.0)
+
+    def test_order_bounds(self):
+        xs, ys = get_space(3, 0, 1).seed(P.x, P.y)
+        with pytest.raises(OrderUnsupported):
+            d_y(d_y(norm2(ys)))
+
+    def test_schwarz(self):
+        arr = partials(lambda x, y: jexp(x[0] * y[2]) * y[1], P, 2, 2)
+        np.testing.assert_allclose(arr, arr.transpose(1, 0, 2, 3),
+                                   atol=1e-12)
+        np.testing.assert_allclose(arr, arr.transpose(0, 1, 3, 2),
+                                   atol=1e-12)
+
+
+class TestFiberDerivatives:
+    """Fiber (y) derivatives of L against the structural frame."""
+
+    def test_first_order_is_ell(self):
+        metric = catalog.funk(3)
+        cj = ChartJets(metric, P, 0, 2)
+        grad = partials(metric.evaluate, P, 0, 1)
+        np.testing.assert_allclose(grad, cj.ell.value(), atol=1e-12)
+
+    def test_second_order_is_angular(self):
+        metric = catalog.randers_pflat(3)
+        cj = ChartJets(metric, P, 0, 2)
+        hess = partials(metric.evaluate, P, 0, 2)
+        L = cj.L.value()
+        np.testing.assert_allclose(hess, cj.hbar.value() / L, atol=1e-12)
+
+    def test_constant_field(self):
+        f = get_space(3, 0, 3).constant(4.2)
+        for _ in range(3):
+            f = d_y(f)
+            assert np.abs(f.value()).max() == 0.0
 
 
 class TestAnalytic:

@@ -9,14 +9,18 @@ from finsler.engine import ChartJets
 from finsler.errors import DimensionTooSmall
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
-from finsler.scalarclass import (check_corollary21, check_lemma31,
-                                 check_prop21, check_theorem21, classify,
-                                 extract_k, isotropy_residual, scalar_data,
-                                 tensor_A, tensor_B, tensor_C, tensor_NF)
-from finsler.suites import suite_lemma22, suite_lemma23
+from finsler.scalarclass import (check_prop21, classify, extract_k,
+                                 isotropy_residual, scalar_data)
+from finsler.suites import (SUITE_ORDERS, SUITES, suite_lemma22,
+                            suite_lemma23)
 from oracles import deviation_fd, space_form_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
+
+
+def run_suite(name, metric, p):
+    return SUITES[name](ChartJets(metric, p, *SUITE_ORDERS[name]))
+
 
 CONSTANT_METRICS = [
     catalog.euclidean(3),
@@ -73,47 +77,50 @@ class TestDerivativeLadder:
 
     def test_tensor_accessors(self):
         metric = catalog.randers_pflat(3)
-        C = tensor_C(metric, P)
-        B = tensor_B(metric, P)
-        A = tensor_A(metric, P)
-        assert C.signature == (0, 1)
-        assert B.signature == (0, 2)
-        assert A.signature == (0, 3)
+        cj = ChartJets(metric, P, 2, 7)
+        data = scalar_data(metric, P, chart=cj)
+        assert data.C.signature == (0, 1)
+        assert data.B.signature == (0, 2)
+        assert data.A.signature == (0, 3)
+        # each form at the jet orders it needs
+        C = ChartJets(metric, P, 2, 5).C.value()
+        B = ChartJets(metric, P, 2, 6).B.value()
+        A = cj.A.value()
         # B symmetric, everything indicatory
-        assert np.abs(B.components - B.components.T).max() < 1e-12
-        assert abs(C.components @ P.y) < 1e-12
-        assert np.abs(A.components @ P.y).max() < 1e-10
+        assert np.abs(B - B.T).max() < 1e-12
+        assert abs(C @ P.y) < 1e-12
+        assert np.abs(A @ P.y).max() < 1e-10
 
     def test_NF_forms(self):
         metric = catalog.riemannian_space_form(3, 1.0)
-        Nt, F = tensor_NF(metric, P)
         cj = ChartJets(metric, P, 2, 6)
         g, ell = cj.g.value(), cj.ell.value()
         # constant curvature kills B and C: N = k(g + ell ell), F = 0
-        np.testing.assert_allclose(Nt.components,
+        np.testing.assert_allclose(cj.Ntensor.value(),
                                    g + np.outer(ell, ell), atol=1e-12)
-        assert np.abs(F.components).max() < 1e-12
-        Nt0, F0 = tensor_NF(catalog.euclidean(3), P)
-        assert np.abs(Nt0.components).max() < 1e-14
-        assert np.abs(F0.components).max() < 1e-14
+        assert np.abs(cj.F.value()).max() < 1e-12
+        cj0 = ChartJets(catalog.euclidean(3), P, 2, 6)
+        assert np.abs(cj0.Ntensor.value()).max() < 1e-14
+        assert np.abs(cj0.F.value()).max() < 1e-14
 
 
 class TestChecks:
     def test_theorem21_on_scalar_metrics(self):
         for metric in CONSTANT_METRICS + [catalog.randers_pflat(3)]:
-            res = check_theorem21(metric, P)
+            res = run_suite("theorem21", metric, P)
             assert res["deviation_isotropic"] < 1e-10, metric.name
             assert res["torsion_form"] < 1e-10, metric.name
             assert res["curvature_form"] < 1e-10, metric.name
 
     def test_theorem21_negative_control(self):
-        res = check_theorem21(catalog.perturbed_riemannian(3, seed=0), P)
+        metric = catalog.perturbed_riemannian(3, seed=0)
+        res = run_suite("theorem21", metric, P)
         assert res["deviation_isotropic"] > 1e-2
         assert res["torsion_form"] > 1e-2
 
     def test_corollary21(self):
         for metric in CONSTANT_METRICS + [catalog.randers_pflat(3)]:
-            res = check_corollary21(metric, P)
+            res = run_suite("corollary21", metric, P)
             assert res["antisymmetric_part"] < 1e-10, metric.name
             assert res["symmetric_part"] < 1e-10, metric.name
 
@@ -139,12 +146,12 @@ class TestChecks:
 
     def test_lemma31(self):
         for metric in CONSTANT_METRICS + [catalog.randers_pflat(3)]:
-            res = check_lemma31(metric, P)
+            res = run_suite("lemma31", metric, P)
             assert res["A_from_B"] < 1e-10, metric.name
         # the antisymmetry obstruction vanishes exactly on constant
         # curvature (A and C both zero there)
         for metric in CONSTANT_METRICS:
-            res = check_lemma31(metric, P)
+            res = run_suite("lemma31", metric, P)
             assert res["constancy_obstruction"] < 1e-12, metric.name
 
     def test_horizontal_k_constancy(self):
