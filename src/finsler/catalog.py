@@ -7,6 +7,7 @@ Each constructor returns a :class:`FinslerMetric`; the module-level
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -162,12 +163,30 @@ def build_catalog_metric(key, n, **params):
         raise ConfigError(f"unknown catalog metric {key!r}; "
                           f"known: {sorted(CATALOG)}")
     build = CATALOG[key].build
-    known = list(inspect.signature(build).parameters)[1:]  # after n
-    unknown = sorted(set(params) - set(known))
+    known = list(inspect.signature(build).parameters.values())[1:]  # after n
+    names = [p.name for p in known]
+    unknown = sorted(set(params) - set(names))
     if unknown:
         raise ConfigError(f"unknown params {unknown} for catalog metric "
-                          f"{key!r}; known: {known}")
+                          f"{key!r}; known: {names}")
+    for p in known:
+        if p.name in params and not _param_ok(params[p.name], p.default):
+            kind = ("a non-negative integer" if isinstance(p.default, int)
+                    else "a finite number")
+            raise ConfigError(f"param {p.name!r} of catalog metric {key!r} "
+                              f"must be {kind}, got {params[p.name]!r}")
     return build(n, **params)
+
+
+def _param_ok(value, default):
+    """Whether a config value fits a builder parameter; the default's type
+    says which: int defaults (seeds) take non-negative integers, float
+    defaults any finite number.  JSON booleans are never numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int) and value >= 0
+    return math.isfinite(value)
 
 
 def default_metrics(n=3, seed=0):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -124,8 +125,10 @@ def _tolerances(cfg):
     if not isinstance(tols, dict):
         raise ConfigError("'tolerances' must be an object")
     for key, val in tols.items():
-        if not (_is_number(val) and val > 0):
-            raise ConfigError(f"tolerance {key!r} must be positive")
+        # json parses Infinity, which would pass every identity
+        if not (_is_number(val) and math.isfinite(val) and val > 0):
+            raise ConfigError(
+                f"tolerance {key!r} must be a positive finite number")
     return tols
 
 

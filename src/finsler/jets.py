@@ -8,13 +8,21 @@ vertical derivatives) are obtained from a single jet evaluation of the
 fundamental function followed by *formal* differentiation, which is exact
 to machine precision.
 
-Jets carry a validity budget (vx, vy): how many more formal x-/y-
+A jet's validity budget (px, py) -- how many more formal x-/y-
 derivatives may be taken before truncation error reaches the constant
-term.  Exceeding the budget raises :class:`OrderUnsupported`.
+term -- is its space: the coefficients live in ``get_space(n, px, py)``.
+A formal derivative moves the result to the space one order lower, and a
+binary operation first restricts both operands to the budget they share,
+as in truncated Taylor arithmetic, so no product runs over monomials that
+are no longer valid.  Because monomials are in graded order, a smaller
+space is the top-left block of a larger space's (NX, NY) coefficient
+grid, and restriction is a slice.  Exceeding the budget raises
+:class:`OrderUnsupported`.
 
 Coefficient arrays have shape ``(T, *trailing)`` where T is the number of
-retained monomials; the trailing axes hold tensor components, so whole
-tensors of jets are manipulated with vectorized numpy operations.
+monomials of the jet's own budget; the trailing axes hold tensor
+components, so whole tensors of jets are manipulated with vectorized
+numpy operations.
 """
 
 from __future__ import annotations
@@ -53,38 +61,48 @@ def _monomials(nvars, maxdeg):
     return out
 
 
-def _pair_table(monos, index, maxdeg):
-    """Index triples (i, j, k) with mono[i]*mono[j] == mono[k] within the cap."""
-    degs = [sum(m) for m in monos]
-    ia, ib, ic = [], [], []
-    for i, a in enumerate(monos):
-        da = degs[i]
-        for j, b in enumerate(monos):
-            if da + degs[j] > maxdeg:
-                continue
-            s = tuple(p + q for p, q in zip(a, b))
-            ia.append(i)
-            ib.append(j)
-            ic.append(index[s])
-    return (np.asarray(ia, dtype=np.int64),
-            np.asarray(ib, dtype=np.int64),
-            np.asarray(ic, dtype=np.int64))
+class _Group:
+    """Exponent table of one variable group (x or y), with a lookup from
+    exponent rows back to monomial ids."""
+
+    def __init__(self, nvars, maxdeg):
+        self.monos = _monomials(nvars, maxdeg)
+        self.maxdeg = maxdeg
+        self.M = np.array(self.monos, dtype=np.int64).reshape(-1, nvars)
+        # base-(maxdeg+1) digits: exponent sums within the cap add
+        # without carry, so key(a + b) == key(a) + key(b)
+        self.place = (maxdeg + 1) ** np.arange(nvars, dtype=np.int64)
+        self.key = self.M @ self.place
+        self._order = np.argsort(self.key)
+
+    def locate(self, keys):
+        return self._order[np.searchsorted(self.key, keys,
+                                           sorter=self._order)]
+
+    def pair_table(self):
+        """Index triples (i, j, k) with mono[i]*mono[j] == mono[k] within
+        the cap, i-major then j."""
+        deg = self.M.sum(axis=1)
+        ia, ib = np.nonzero(deg[:, None] + deg[None, :] <= self.maxdeg)
+        return ia, ib, self.locate(self.key[ia] + self.key[ib])
+
+    def deriv_table(self, var):
+        """Formal d/dvar: (src, dst, multiplier) arrays."""
+        src = np.flatnonzero(self.M[:, var])
+        dst = self.locate(self.key[src] - self.place[var])
+        return src, dst, self.M[src, var].astype(float)
+
+    def factorials(self):
+        """prod_v alpha_v! for each monomial alpha."""
+        fact = np.array([math.factorial(k) for k in range(self.maxdeg + 1)],
+                        dtype=np.int64)
+        return fact[self.M].prod(axis=1)
 
 
-def _deriv_table(monos, index, var):
-    """Formal d/dvar on one variable group: (src, dst, multiplier) arrays."""
-    src, dst, mul = [], [], []
-    for i, a in enumerate(monos):
-        if a[var] == 0:
-            continue
-        b = list(a)
-        b[var] -= 1
-        src.append(i)
-        dst.append(index[tuple(b)])
-        mul.append(float(a[var]))
-    return (np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(mul))
+@functools.lru_cache(maxsize=None)
+def _group(nvars, maxdeg):
+    """One table per variable group, shared by every space that uses it."""
+    return _Group(nvars, maxdeg)
 
 
 class JetSpace:
@@ -95,31 +113,35 @@ class JetSpace:
         self.n = n
         self.px = px
         self.py = py
-        self.xm = _monomials(n, px)
-        self.ym = _monomials(n, py)
+        gx = _group(n, px)
+        gy = _group(n, py)
+        self.xm = gx.monos
+        self.ym = gy.monos
         self.NX = len(self.xm)
         self.NY = len(self.ym)
         self.T = self.NX * self.NY
-        xi = {m: i for i, m in enumerate(self.xm)}
-        yi = {m: i for i, m in enumerate(self.ym)}
 
-        xa, xb, xc = _pair_table(self.xm, xi, px)
-        ya, yb, yc = _pair_table(self.ym, yi, py)
+        xa, xb, xc = gx.pair_table()
+        ya, yb, yc = gy.pair_table()
         NY = self.NY
         I = (xa[:, None] * NY + ya[None, :]).ravel()
         J = (xb[:, None] * NY + yb[None, :]).ravel()
         K = (xc[:, None] * NY + yc[None, :]).ravel()
-        order = np.argsort(K, kind="stable")
-        I, J, K = I[order], J[order], K[order]
-        starts = np.flatnonzero(np.r_[True, K[1:] != K[:-1]])
-        self.mI = I
-        self.mJ = J
-        self.red_starts = starts
-        self.red_K = K[starts]
+        # group pairs by K; a stable sort keeps generation order inside
+        # each group, and on keys of 16 bits or less numpy's is a radix sort
+        order = np.argsort(K.astype(np.min_scalar_type(self.T)), kind="stable")
+        self.mI = I[order]
+        self.mJ = J[order]
+        # every monomial k has at least the pair (constant, k), so the
+        # sorted groups are exactly monomials 0..T-1, in order
+        counts = np.bincount(K, minlength=self.T)
+        self.red_starts = np.cumsum(counts) - counts
 
-        self.xderiv = [_deriv_table(self.xm, xi, q) for q in range(n)]
-        self.yderiv = [_deriv_table(self.ym, yi, q) for q in range(n)]
+        self.xderiv = [gx.deriv_table(q) for q in range(n)]
+        self.yderiv = [gy.deriv_table(q) for q in range(n)]
 
+        xi = {m: i for i, m in enumerate(self.xm)}
+        yi = {m: i for i, m in enumerate(self.ym)}
         # id of the degree-1 monomial for each variable
         e = lambda q: tuple(1 if t == q else 0 for t in range(n))
         self._xvar_id = [xi[e(q)] * NY for q in range(n)] if px >= 1 else None
@@ -127,16 +149,15 @@ class JetSpace:
         self._xi = xi
         self._yi = yi
         # factorial factor per combined monomial, for partial extraction
-        fx = np.array([np.prod([math.factorial(a) for a in m]) for m in self.xm])
-        fy = np.array([np.prod([math.factorial(a) for a in m]) for m in self.ym])
-        self.fact = (fx[:, None] * fy[None, :]).ravel()
+        self.fact = (gx.factorials()[:, None]
+                     * gy.factorials()[None, :]).ravel()
 
     # ---- constructors -------------------------------------------------
     def constant(self, value):
         value = np.asarray(value, dtype=float)
         c = np.zeros((self.T,) + value.shape)
         c[0] = value
-        return Jet(self, c, self.px, self.py)
+        return Jet(self, c)
 
     def coordinate(self, group, q, value):
         """Seed jet for chart variable x_q or y_q (group 'x' or 'y')."""
@@ -150,7 +171,7 @@ class JetSpace:
         else:
             if self.py >= 1:
                 c[self._yvar_id[q]] = 1.0
-        return Jet(self, c, self.px, self.py)
+        return Jet(self, c)
 
     def seed(self, x, y):
         """Seed jets for a full sample point; returns (x_jets, y_jets) lists."""
@@ -163,22 +184,45 @@ class JetSpace:
         return self._xi[tuple(ax)] * self.NY + self._yi[tuple(ay)]
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=None)
 def get_space(n, px, py):
     return JetSpace(n, px, py)
+
+
+def restrict(jet, px, py):
+    """``jet`` truncated to the smaller budget (px, py): the top-left
+    block of its (NX, NY) coefficient grid, since monomials are graded."""
+    sp = jet.space
+    if (px, py) == (sp.px, sp.py):
+        return jet
+    if px > sp.px or py > sp.py:
+        raise OrderUnsupported(
+            f"cannot extend a jet of budget (x:{sp.px}, y:{sp.py}) to "
+            f"(x:{px}, y:{py})")
+    sub = get_space(sp.n, px, py)
+    grid = jet.c.reshape((sp.NX, sp.NY) + jet.shape)
+    return Jet(sub, grid[:sub.NX, :sub.NY].reshape((sub.T,) + jet.shape))
+
+
+def _shared(jets):
+    """The jets restricted to the budget they all share."""
+    n = jets[0].space.n
+    if any(j.space.n != n for j in jets):
+        raise ValueError("jets in different dimensions")
+    px = min(j.space.px for j in jets)
+    py = min(j.space.py for j in jets)
+    return [restrict(j, px, py) for j in jets]
 
 
 class Jet:
     """Tensor-valued truncated Taylor expansion; see module docstring."""
 
-    __slots__ = ("space", "c", "vx", "vy")
+    __slots__ = ("space", "c")
     __array_ufunc__ = None  # keep numpy from elementwise-broadcasting us
 
-    def __init__(self, space, c, vx, vy):
+    def __init__(self, space, c):
         self.space = space
         self.c = c
-        self.vx = vx
-        self.vy = vy
 
     # ---- basic info ---------------------------------------------------
     @property
@@ -199,39 +243,31 @@ class Jet:
             ax[q] += 1
         for q in ys:
             ay[q] += 1
-        if sum(ax) > self.vx or sum(ay) > self.vy:
+        if sum(ax) > sp.px or sum(ay) > sp.py:
             raise OrderUnsupported(
                 f"partial of order (x:{sum(ax)}, y:{sum(ay)}) exceeds jet "
-                f"validity (x:{self.vx}, y:{self.vy})")
+                f"validity (x:{sp.px}, y:{sp.py})")
         mid = sp.mono_id(ax, ay)
         v = self.c[mid] * sp.fact[mid]
         return float(v) if np.ndim(v) == 0 else np.array(v)
 
     # ---- arithmetic ---------------------------------------------------
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError("jets from different spaces")
-            return other
-        return None
-
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            other = np.asarray(other, dtype=float)
-            shape = np.broadcast_shapes(self.shape, other.shape)
-            c = np.zeros((self.space.T,) + shape)
-            c += self.c
-            c[0] += other
-            return Jet(self.space, c, self.vx, self.vy)
-        ca, cb = _align(self.c, o.c)
-        return Jet(self.space, ca + cb, min(self.vx, o.vx),
-                   min(self.vy, o.vy))
+        if isinstance(other, Jet):
+            a, b = _shared([self, other])
+            ca, cb = _align(a.c, b.c)
+            return Jet(a.space, ca + cb)
+        other = np.asarray(other, dtype=float)
+        shape = np.broadcast_shapes(self.shape, other.shape)
+        c = np.zeros((self.space.T,) + shape)
+        c += self.c
+        c[0] += other
+        return Jet(self.space, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.c, self.vx, self.vy)
+        return Jet(self.space, -self.c)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet)
@@ -241,17 +277,13 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return Jet(self.space, self.c * np.asarray(other, dtype=float),
-                       self.vx, self.vy)
-        sp = self.space
-        ca, cb = _align(self.c, o.c)
-        prod = ca[sp.mI] * cb[sp.mJ]
-        seg = np.add.reduceat(prod, sp.red_starts, axis=0)
-        c = np.zeros((sp.T,) + prod.shape[1:])
-        c[sp.red_K] = seg
-        return Jet(sp, c, min(self.vx, o.vx), min(self.vy, o.vy))
+        if not isinstance(other, Jet):
+            return Jet(self.space, self.c * np.asarray(other, dtype=float))
+        a, b = _shared([self, other])
+        sp = a.space
+        ca, cb = _align(a.c, b.c)
+        return Jet(sp, np.add.reduceat(ca[sp.mI] * cb[sp.mJ], sp.red_starts,
+                                       axis=0))
 
     __rmul__ = __mul__
 
@@ -280,42 +312,44 @@ class Jet:
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)
-        return Jet(self.space, self.c[(slice(None),) + idx], self.vx, self.vy)
+        return Jet(self.space, self.c[(slice(None),) + idx])
 
     def tr(self, *perm):
         """Permute trailing (component) axes."""
         axes = (0,) + tuple(p + 1 for p in perm)
-        return Jet(self.space, self.c.transpose(axes), self.vx, self.vy)
+        return Jet(self.space, self.c.transpose(axes))
 
     def sum(self, axis):
-        return Jet(self.space, self.c.sum(axis=axis + 1 if axis >= 0 else axis),
-                   self.vx, self.vy)
+        return Jet(self.space,
+                   self.c.sum(axis=axis + 1 if axis >= 0 else axis))
 
     def trace(self, a, b):
         """Contract two trailing axes of equal extent."""
         c = np.diagonal(self.c, axis1=a + 1, axis2=b + 1).sum(axis=-1)
-        return Jet(self.space, c, self.vx, self.vy)
+        return Jet(self.space, c)
 
     # ---- formal differentiation --------------------------------------
     def dx(self, q):
-        if self.vx <= 0:
-            raise OrderUnsupported("x-derivative budget exhausted")
         sp = self.space
+        if sp.px <= 0:
+            raise OrderUnsupported("x-derivative budget exhausted")
+        sub = get_space(sp.n, sp.px - 1, sp.py)
         cc = self.c.reshape((sp.NX, sp.NY) + self.shape)
-        out = np.zeros_like(cc)
+        out = np.zeros((sub.NX,) + cc.shape[1:])
         src, dst, mul = sp.xderiv[q]
         out[dst] = cc[src] * mul.reshape((-1,) + (1,) * (cc.ndim - 1))
-        return Jet(sp, out.reshape(self.c.shape), self.vx - 1, self.vy)
+        return Jet(sub, out.reshape((sub.T,) + self.shape))
 
     def dy(self, q):
-        if self.vy <= 0:
-            raise OrderUnsupported("y-derivative budget exhausted")
         sp = self.space
+        if sp.py <= 0:
+            raise OrderUnsupported("y-derivative budget exhausted")
+        sub = get_space(sp.n, sp.px, sp.py - 1)
         cc = self.c.reshape((sp.NX, sp.NY) + self.shape)
-        out = np.zeros_like(cc)
+        out = np.zeros((sp.NX, sub.NY) + cc.shape[2:])
         src, dst, mul = sp.yderiv[q]
         out[:, dst] = cc[:, src] * mul.reshape((-1,) + (1,) * (cc.ndim - 2))
-        return Jet(sp, out.reshape(self.c.shape), self.vx, self.vy - 1)
+        return Jet(sub, out.reshape((sub.T,) + self.shape))
 
     # ---- analytic functions ------------------------------------------
     def reciprocal(self):
@@ -440,9 +474,8 @@ cos = jcos
 
 def jstack(jets):
     """Stack same-shaped jets along a new last trailing axis."""
-    sp = jets[0].space
-    c = np.stack([j.c for j in jets], axis=-1)
-    return Jet(sp, c, min(j.vx for j in jets), min(j.vy for j in jets))
+    jets = _shared(jets)
+    return Jet(jets[0].space, np.stack([j.c for j in jets], axis=-1))
 
 
 def d_x(jet):
@@ -461,14 +494,10 @@ def jet_einsum(subscripts, a, b):
     reserved for the coefficient-pair axis)."""
     lhs, out = subscripts.split("->")
     s1, s2 = lhs.split(",")
+    a, b = _shared([a, b])
     sp = a.space
-    if b.space is not sp:
-        raise ValueError("jets from different spaces")
     prod = np.einsum(f"Z{s1},Z{s2}->Z{out}", a.c[sp.mI], b.c[sp.mJ])
-    seg = np.add.reduceat(prod, sp.red_starts, axis=0)
-    c = np.zeros((sp.T,) + seg.shape[1:])
-    c[sp.red_K] = seg
-    return Jet(sp, c, min(a.vx, b.vx), min(a.vy, b.vy))
+    return Jet(sp, np.add.reduceat(prod, sp.red_starts, axis=0))
 
 
 def jet_matrix_inverse(m):
@@ -480,7 +509,6 @@ def jet_matrix_inverse(m):
     a = [[m[i, j] for j in range(n)] for i in range(n)]
     eye = [[sp.constant(1.0 if i == j else 0.0) for j in range(n)]
            for i in range(n)]
-    vx, vy = m.vx, m.vy
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col].c[0]))
         if abs(a[piv][col].c[0]) < 1e-14:
@@ -498,4 +526,4 @@ def jet_matrix_inverse(m):
             eye[r] = [eye[r][j] - f * eye[col][j] for j in range(n)]
     c = np.stack([np.stack([eye[i][j].c for j in range(n)], axis=-1)
                   for i in range(n)], axis=-2)
-    return Jet(sp, c, vx, vy)
+    return Jet(sp, c)

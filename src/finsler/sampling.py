@@ -5,6 +5,9 @@ generator, so reports are reproducible regardless of evaluation order.
 Base points are uniform in a ball, directions uniform on the unit
 sphere scaled by a random factor in [0.5, 2] (exercising homogeneity);
 no direction is special-cased.
+
+Each rejected draw is logged at DEBUG level on the ``finsler`` logger,
+with its reason; nothing is shown unless logging is configured for it.
 """
 
 from __future__ import annotations
@@ -44,12 +47,25 @@ def sample_points(metric: FinslerMetric, spec: SamplingSpec):
         v = rng.normal(size=n)
         y = rng.uniform(0.5, 2.0) * v / np.linalg.norm(v)
         if not metric.in_domain(x):
+            _reject(metric, attempts, "outside domain", x, y)
             continue
         p = SamplePoint(x, y)
         try:
             if metric.L(p) <= 0.0:
+                _reject(metric, attempts, "L <= 0", x, y)
                 continue
-        except (DomainError, EvalDomainError):
+        except (DomainError, EvalDomainError) as e:
+            _reject(metric, attempts, f"{type(e).__name__}: {e}", x, y)
             continue
         points.append(p)
     return points
+
+
+def _reject(metric, attempt, reason, x, y):
+    # imported here, not with the package: logging adds about 5 ms to
+    # every start-up, and most runs reject no draw
+    import logging
+
+    logging.getLogger("finsler").debug(
+        "%s: rejected sample draw %d (%s) at x=%s, y=%s",
+        metric.name, attempt, reason, x, y)

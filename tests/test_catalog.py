@@ -43,6 +43,25 @@ class TestConstructors:
             "riemannian_space_form", 3, kappa=-1.0)
         assert "kappa=-1" in metric.name
 
+    def test_build_accepts_integer_values(self):
+        """An integer fits a float parameter; an integer seed is kept."""
+        metric = catalog.build_catalog_metric(
+            "riemannian_space_form", 3, kappa=2)
+        assert "kappa=2" in metric.name
+        metric = catalog.build_catalog_metric(
+            "perturbed_riemannian", 3, seed=5, eps=0)
+        assert "seed=5" in metric.name
+
+    @pytest.mark.parametrize("key, params", [
+        ("riemannian_space_form", {"kappa": "1"}),
+        ("riemannian_space_form", {"kappa": float("inf")}),
+        ("perturbed_riemannian", {"seed": 2.0}),
+        ("perturbed_riemannian", {"eps": False}),
+    ], ids=["kappa-string", "kappa-inf", "seed-float", "eps-bool"])
+    def test_build_rejects_bad_values(self, key, params):
+        with pytest.raises(ConfigError, match="must be"):
+            catalog.build_catalog_metric(key, 3, **params)
+
 
 class TestHomogeneity:
     @pytest.mark.parametrize("metric", catalog.default_metrics(3),

@@ -177,8 +177,30 @@ class TestConfigValidation:
         {"tolerances": {"default": True}},
         {"metric": {"catalog": "funk", "dimension": 3,
                     "params": {"kappa": 1}}},
+        {"tolerances": {"default": float("inf")}},
+        {"tolerances": {"theorem21": float("inf")}},
+        {"metric": {"catalog": "riemannian_space_form", "dimension": 3,
+                    "params": {"kappa": "x"}}},
+        {"metric": {"catalog": "riemannian_space_form", "dimension": 3,
+                    "params": {"kappa": True}}},
+        {"metric": {"catalog": "riemannian_space_form", "dimension": 3,
+                    "params": {"kappa": float("nan")}}},
+        {"metric": {"catalog": "perturbed_riemannian", "dimension": 3,
+                    "params": {"seed": "abc"}}},
+        {"metric": {"catalog": "perturbed_riemannian", "dimension": 3,
+                    "params": {"seed": True}}},
+        {"metric": {"catalog": "perturbed_riemannian", "dimension": 3,
+                    "params": {"seed": 1.5}}},
+        {"metric": {"catalog": "perturbed_riemannian", "dimension": 3,
+                    "params": {"seed": -1}}},
+        {"metric": {"catalog": "perturbed_riemannian", "dimension": 3,
+                    "params": {"eps": "0.3"}}},
     ], ids=["seed-string", "seed-float", "seed-negative", "count-bool",
-            "radius-bool", "tolerance-bool", "unknown-param"])
+            "radius-bool", "tolerance-bool", "unknown-param",
+            "tolerance-infinity", "suite-tolerance-infinity",
+            "param-kappa-string", "param-kappa-bool", "param-kappa-nan",
+            "param-seed-string", "param-seed-bool", "param-seed-float",
+            "param-seed-negative", "param-eps-string"])
     def test_bad_value_config_error(self, tmp_path, capsys, change):
         cfg = {"metric": {"catalog": "funk", "dimension": 3},
                "sampling": {"count": 1, "seed": 0}}

@@ -1,5 +1,7 @@
 """Metric expression language: parsing, evaluation, errors, round-trip."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,35 @@ class TestMetricConstruction:
         metric = FinslerMetric(n=3, evaluate=nowhere, name="nowhere")
         with pytest.raises(DomainError):
             sample_points(metric, SamplingSpec(count=2, seed=0))
+
+    def test_sampling_logs_each_rejected_draw(self, caplog):
+        """One DEBUG record on the 'finsler' logger per rejected draw,
+        naming its reason; accepted draws log nothing."""
+        calls = {"domain": 0, "L": 0}
+
+        def domain(x):
+            calls["domain"] += 1
+            return x[0] < 0.2
+
+        def L(x, y):
+            calls["L"] += 1
+            if x[1] < -0.1:
+                raise EvalDomainError("sqrt of a negative value")
+            norm = float(np.sqrt(sum(v * v for v in y)))
+            return -norm if x[2] < -0.1 else norm
+
+        metric = FinslerMetric(n=3, evaluate=L, name="patchy",
+                               domain=domain)
+        caplog.set_level(logging.DEBUG, logger="finsler")
+        count = 10
+        sample_points(metric, SamplingSpec(count=count, seed=4))
+        records = [r for r in caplog.records if r.name == "finsler"]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        # in_domain runs once per draw and once more inside metric.L
+        draws = calls["domain"] - calls["L"]
+        assert len(records) == draws - count
+        text = [r.getMessage() for r in records]
+        for reason in ("outside domain", "L <= 0",
+                       "EvalDomainError: sqrt of a negative value"):
+            assert any(f"({reason})" in t for t in text), reason
+        assert all(t.startswith("patchy: rejected sample draw") for t in text)

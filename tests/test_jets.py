@@ -1,5 +1,6 @@
 """Truncated-Taylor jet arithmetic against closed-form calculus."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from finsler.engine import ChartJets
 from finsler.errors import EvalDomainError, OrderUnsupported
 from finsler.jets import (Jet, d_x, d_y, get_space, jcos, jet_einsum,
                           jet_matrix_inverse, jexp, jlog, jsin, jsqrt,
-                          jstack)
+                          jstack, restrict)
 from finsler.metric import SamplePoint
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
@@ -233,3 +234,139 @@ def test_product_rule_property(xv, yv):
             rhs.partial(ys=(q,)), abs=1e-10)
         assert lhs.partial(xs=(q,)) == pytest.approx(
             rhs.partial(xs=(q,)), abs=1e-10)
+
+
+def random_jet(rng, sp, shape=(), scale=0.3):
+    """A jet with random coefficients: an arbitrary polynomial in the
+    space's monomials."""
+    return Jet(sp, scale * rng.normal(size=(sp.T,) + shape))
+
+
+BUDGETS = [(3, 7), (2, 7), (3, 4), (1, 2), (0, 5), (3, 0), (0, 0)]
+
+
+class TestTruncation:
+    """A jet's budget is its space; restriction to a smaller budget
+    commutes with every operation."""
+
+    sp = get_space(3, 3, 7)
+
+    def _pair(self, shape_a=(), shape_b=()):
+        rng = np.random.default_rng(11)
+        return (random_jet(rng, self.sp, shape_a),
+                random_jet(rng, self.sp, shape_b))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_exact_ops_commute(self, budget):
+        a, b = self._pair((3,), (3,))
+        r = lambda j: restrict(j, *budget)
+        ops = [
+            lambda u, v: u + v,
+            lambda u, v: u - v,
+            lambda u, v: u * v,
+            lambda u, v: u[1] * v,
+            lambda u, v: jet_einsum("i,j->ij", u, v),
+            lambda u, v: jet_einsum("i,i->", u, v),
+            lambda u, v: jstack([u, v, u[0] * v]),
+        ]
+        for op in ops:
+            full, low = r(op(a, b)), op(r(a), r(b))
+            assert low.space is get_space(3, *budget)
+            np.testing.assert_array_equal(full.c, low.c)
+
+    @pytest.mark.parametrize("budget", [b for b in BUDGETS if b[0] >= 1])
+    def test_dx_commutes(self, budget):
+        a, _ = self._pair((2,))
+        px, py = budget
+        for q in range(3):
+            full = restrict(a.dx(q), px - 1, py)
+            low = restrict(a, px, py).dx(q)
+            assert low.space is get_space(3, px - 1, py)
+            np.testing.assert_array_equal(full.c, low.c)
+
+    @pytest.mark.parametrize("budget", [b for b in BUDGETS if b[1] >= 1])
+    def test_dy_commutes(self, budget):
+        a, _ = self._pair((2,))
+        px, py = budget
+        for q in range(3):
+            full = restrict(a.dy(q), px, py - 1)
+            low = restrict(a, px, py).dy(q)
+            assert low.space is get_space(3, px, py - 1)
+            np.testing.assert_array_equal(full.c, low.c)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_series_commute(self, budget):
+        a, _ = self._pair()
+        m, _ = self._pair((3, 3))
+        u = a + 2.0                              # positive constant term
+        mat = m * 0.2 + 3.0 * np.eye(3)          # well-conditioned
+        r = lambda j: restrict(j, *budget)
+        for op, arg in ((Jet.reciprocal, u), (jsqrt, u),
+                        (jet_matrix_inverse, mat)):
+            full, low = r(op(arg)), op(r(arg))
+            assert low.space is get_space(3, *budget)
+            err = np.abs(full.c - low.c).max()
+            assert err <= 1e-15 * np.abs(full.c).max(), op
+
+    def test_mixed_budgets_meet_at_the_smaller(self):
+        a, b = self._pair()
+        low = restrict(b, 1, 4)
+        assert (a * low).space is get_space(3, 1, 4)
+        assert (a + restrict(b, 2, 7) * restrict(b, 3, 2)).space \
+            is get_space(3, 2, 2)
+        np.testing.assert_array_equal((a * low).c, (restrict(a, 1, 4) * low).c)
+
+    def test_restrict_cannot_extend(self):
+        a, _ = self._pair()
+        with pytest.raises(OrderUnsupported):
+            restrict(restrict(a, 1, 4), 2, 4)
+
+    def test_partial_past_budget(self):
+        xs, ys = get_space(3, 2, 3).seed(P.x, P.y)
+        f = xs[0] * ys[1] * ys[1]
+        g = f.dy(1)
+        assert g.space is get_space(3, 2, 2)
+        assert g.partial(xs=(0,), ys=(1,)) == pytest.approx(2.0)
+        with pytest.raises(OrderUnsupported):
+            g.partial(ys=(1, 1, 1))
+        h = f * xs[0].dx(0)                     # meets at (1, 3)
+        with pytest.raises(OrderUnsupported):
+            h.partial(xs=(0, 0))
+        with pytest.raises(OrderUnsupported):
+            h.dx(0).dx(0)
+
+    def test_different_dimensions_raise(self):
+        a = get_space(2, 1, 2).constant(1.0)
+        b = get_space(3, 1, 2).constant(1.0)
+        for op in (lambda: a + b, lambda: a * b, lambda: b - a,
+                   lambda: jet_einsum(",->", a, b), lambda: jstack([a, b])):
+            with pytest.raises(ValueError):
+                op()
+
+
+@pytest.mark.parametrize("n, px, py", [(2, 3, 4), (2, 0, 3), (3, 2, 3),
+                                       (3, 1, 0), (4, 1, 2), (4, 2, 1)])
+def test_pair_table_brute_force(n, px, py):
+    """The product table lists every (i, j) with mono[i] + mono[j] ==
+    mono[k], grouped by k in increasing order (every k has a group) and
+    by i inside a group."""
+    sp = get_space(n, px, py)
+    for monos, cap in ((sp.xm, px), (sp.ym, py)):
+        every = [m for m in itertools.product(range(cap + 1), repeat=n)
+                 if sum(m) <= cap]
+        assert sorted(monos) == sorted(every)
+        assert [sum(m) for m in monos] == sorted(sum(m) for m in monos)
+    monos = [xm + ym for xm in sp.xm for ym in sp.ym]
+    index = {m: k for k, m in enumerate(monos)}
+    pairs = {k: [] for k in range(sp.T)}
+    for i, a in enumerate(monos):
+        for j, b in enumerate(monos):
+            k = index.get(tuple(p + q for p, q in zip(a, b)))
+            if k is not None:
+                pairs[k].append((i, j))
+    want = [pair for k in range(sp.T) for pair in pairs[k]]
+    np.testing.assert_array_equal(np.stack([sp.mI, sp.mJ], axis=1), want)
+    # group k starts where the pairs of the monomials before it end
+    sizes = [len(pairs[k]) for k in range(sp.T)]
+    np.testing.assert_array_equal(sp.red_starts,
+                                  np.cumsum([0] + sizes[:-1]))
