@@ -18,6 +18,12 @@ for metric in catalog.default_metrics(3):
     print(f"{metric.name:<34} {report.verdict:<10} "
           f"{report.k_mean:>12.6f} {report.k_std:>10.2e}")
 
+# the same decision from the finite-difference backend, which shares no
+# differentiation code with the jets (one point: each costs ~10^5 calls of L)
+fd = classify(catalog.funk(3), SamplingSpec(count=1, seed=0), backend="fd")
+print(f"\nfinite differences, funk at one point: {fd.verdict} "
+      f"(k = {fd.k_mean:.6f})")
+
 print("""
 Reading the table:
   constant -- deviation tensor isotropic and k the same everywhere

@@ -33,6 +33,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -107,7 +108,8 @@ def _sampling(cfg, args):
         raise ConfigError(
             f"sampling seed must be a non-negative integer, got {seed!r}")
     radius = s.get("radius")
-    if radius is not None and not (_is_number(radius) and radius > 0):
+    if radius is not None and not (
+            _is_number(radius) and math.isfinite(radius) and radius > 0):
         raise ConfigError(f"invalid sampling radius {radius!r}")
     return SamplingSpec(count=count, seed=seed, radius=radius)
 
@@ -132,11 +134,16 @@ def _tolerances(cfg):
     return tols
 
 
-def _out_stream(cfg, args):
+@contextmanager
+def _report_stream(cfg, args):
+    """The report file named by --out or the config's "output", closed
+    on exit; standard output when neither is given."""
     path = args.out if args.out is not None else cfg.get("output")
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as stream:
+            yield stream
 
 
 def _emit(stream, obj):
@@ -170,8 +177,8 @@ def cmd_tensors(cfg, args):
     spec = _sampling(cfg, args)
     backend = _backend(cfg, args)
     points = sample_points(metric, spec)
-    stream, close = _out_stream(cfg, args)
-    try:
+    fd = FDPipeline(metric)
+    with _report_stream(cfg, args) as stream:
         _emit(stream, _header("tensors", cfg, metric, spec, backend))
         for idx, p in enumerate(points):
             if backend == "jet":
@@ -184,15 +191,11 @@ def cmd_tensors(cfg, args):
                     "B": cj.B.value(), "A": cj.A.value(),
                 }
             else:
-                fd = FDPipeline(metric)
                 values = dict(fd.tensors(p))
                 values["C"] = fd.c_form(p)
             record = {"sample": idx, "x": p.x.tolist(), "y": p.y.tolist()}
             record.update({name: _tolist(v) for name, v in values.items()})
             _emit(stream, record)
-    finally:
-        if close:
-            stream.close()
     return EXIT_PASS
 
 
@@ -217,9 +220,8 @@ def cmd_verify(cfg, args):
     points = sample_points(metric, spec)
     records = run_suites(metric, points, names)
 
-    stream, close = _out_stream(cfg, args)
     failed = False
-    try:
+    with _report_stream(cfg, args) as stream:
         _emit(stream, _header("verify", cfg, metric, spec, "jet"))
         summary = {}
         for rec in records:
@@ -234,9 +236,6 @@ def cmd_verify(cfg, args):
             summary[key] = max(summary.get(key, 0.0), rec["residual"])
         _emit(stream, {"summary": "max_residual_per_identity",
                        "values": summary})
-    finally:
-        if close:
-            stream.close()
     return EXIT_FAIL if failed else EXIT_PASS
 
 
@@ -245,13 +244,9 @@ def cmd_classify(cfg, args):
     spec = _sampling(cfg, args)
     backend = _backend(cfg, args)
     report = classify(metric, spec, backend=backend)
-    stream, close = _out_stream(cfg, args)
-    try:
+    with _report_stream(cfg, args) as stream:
         _emit(stream, _header("classify", cfg, metric, spec, backend))
         _emit(stream, report.to_json_dict())
-    finally:
-        if close:
-            stream.close()
     if report.verdict == "constant":
         line = (f"{metric.name}: constant "
                 f"(k={report.k_mean:.4f}±{report.k_std:.4f})")

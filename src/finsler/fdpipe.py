@@ -8,6 +8,9 @@ is what makes it a meaningful cross-check oracle.  It deliberately stops
 at the first vertical derivative of the scalar curvature (the C form):
 deeper members of the derivative ladder amplify FD noise beyond any
 useful tolerance and are only available on the jet backend.
+
+Every derivative is :func:`_d1` or :func:`_d2` of a float- or
+array-valued f(x, y), with the derivative axes after f's own.
 """
 
 from __future__ import annotations
@@ -23,15 +26,69 @@ def _richardson(stencil, h):
     return (4.0 * np.asarray(stencil(h / 2.0)) - np.asarray(stencil(h))) / 3.0
 
 
+def _base_h(x, y):
+    """Step of the metric-level stencils at (x, y)."""
+    return 1e-3 * (1.0 + float(np.max(np.abs(np.concatenate([x, y])))))
+
+
+def _d1(f, x, y, var, h):
+    """(f(+h) - f(-h)) / 2h in each component q of var ("x" or "y"),
+    as [..., q]."""
+    n = len(x)
+    z = np.concatenate([x, y])
+    out = []
+    for q in range(n) if var == "x" else range(n, 2 * n):
+        zp, zm = z.copy(), z.copy()
+        zp[q] += h
+        zm[q] -= h
+        out.append((f(zp[:n], zp[n:]) - f(zm[:n], zm[n:])) / (2.0 * h))
+    out = np.array(out)  # in C order: matmul and einsum sums follow layout
+    return np.ascontiguousarray(out.transpose(*range(1, out.ndim), 0))
+
+
+def _d2(f, x, y, va, vb, h):
+    """Second partials d2 f / d(va)^i d(vb)^j as [..., i, j]: the
+    four-point stencil, or for va == vb the three-point stencil on the
+    diagonal and the upper triangle mirrored."""
+    n = len(x)
+    z = np.concatenate([x, y])
+    a = 0 if va == "x" else n
+    b = 0 if vb == "x" else n
+    sym = va == vb
+    f0 = f(x, y) if sym else None
+    out = None
+    for i in range(n):
+        for j in range(i if sym else 0, n):
+            if sym and i == j:
+                zp, zm = z.copy(), z.copy()
+                zp[a + i] += h
+                zm[a + i] -= h
+                val = (f(zp[:n], zp[n:]) - 2.0 * f0
+                       + f(zm[:n], zm[n:])) / (h * h)
+            else:
+                val = 0.0
+                for si in (1.0, -1.0):
+                    for sj in (1.0, -1.0):
+                        zz = z.copy()
+                        zz[a + i] += si * h
+                        zz[b + j] += sj * h
+                        val += si * sj * f(zz[:n], zz[n:])
+                val = val / (4.0 * h * h)
+            if out is None:
+                out = np.empty(np.shape(val) + (n, n))
+            out[..., i, j] = val
+            if sym:
+                out[..., j, i] = val
+    return out
+
+
 class FDPipeline:
     """All FD-backend quantities for one metric; evaluation is pointwise
-    through :meth:`tensors`."""
+    through :meth:`tensors` and :meth:`c_form`."""
 
-    def __init__(self, metric: FinslerMetric, step: float = None):
+    def __init__(self, metric: FinslerMetric):
         self.metric = metric
-        self.step = step
 
-    # ---- scalar building blocks --------------------------------------
     def _L(self, x, y):
         return float(self.metric.evaluate(list(x), list(y)))
 
@@ -39,70 +96,8 @@ class FDPipeline:
         v = self._L(x, y)
         return 0.5 * v * v
 
-    def _h(self, p: SamplePoint):
-        if self.step is not None:
-            return self.step
-        scale = 1.0 + float(np.max(np.abs(np.concatenate([p.x, p.y]))))
-        return 1e-3 * scale
-
-    # ---- stencils -----------------------------------------------------
-    def _grad(self, f, x, y, var, h):
-        n = len(x)
-        out = np.empty(n)
-        for q in range(n):
-            xp, yp = np.array(x), np.array(y)
-            xm, ym = np.array(x), np.array(y)
-            if var == "x":
-                xp[q] += h
-                xm[q] -= h
-            else:
-                yp[q] += h
-                ym[q] -= h
-            out[q] = (f(xp, yp) - f(xm, ym)) / (2.0 * h)
-        return out
-
-    def _hess_yy(self, f, x, y, h):
-        n = len(x)
-        out = np.empty((n, n))
-        f0 = f(x, y)
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    yp, ym = np.array(y), np.array(y)
-                    yp[i] += h
-                    ym[i] -= h
-                    out[i, i] = (f(x, yp) - 2.0 * f0 + f(x, ym)) / (h * h)
-                else:
-                    val = 0.0
-                    for si in (1.0, -1.0):
-                        for sj in (1.0, -1.0):
-                            yy = np.array(y)
-                            yy[i] += si * h
-                            yy[j] += sj * h
-                            val += si * sj * f(x, yy)
-                    out[i, j] = out[j, i] = val / (4.0 * h * h)
-        return out
-
-    def _mixed_xy(self, f, x, y, h):
-        """d2 f / dx^c dy^j as [c, j] (f scalar) or [..., c, j] stacked
-        outside; here f is scalar-valued."""
-        n = len(x)
-        out = np.empty((n, n))
-        for c in range(n):
-            for j in range(n):
-                val = 0.0
-                for sc in (1.0, -1.0):
-                    for sj in (1.0, -1.0):
-                        xx, yy = np.array(x), np.array(y)
-                        xx[c] += sc * h
-                        yy[j] += sj * h
-                        val += sc * sj * f(xx, yy)
-                out[c, j] = val / (4.0 * h * h)
-        return out
-
-    # ---- pipeline quantities -----------------------------------------
     def g_at(self, x, y, h):
-        return _richardson(lambda hh: self._hess_yy(self._E, x, y, hh), h)
+        return _richardson(lambda hh: _d2(self._E, x, y, "y", "y", hh), h)
 
     def spray_at(self, x, y, h):
         g = self.g_at(x, y, h)
@@ -112,128 +107,54 @@ class FDPipeline:
                 f"fundamental tensor not positive definite at "
                 f"x={list(x)}, y={list(y)} (smallest eigenvalue {ev[0]:.3e})",
                 min_eigenvalue=float(ev[0]))
-        dEx = _richardson(
-            lambda hh: self._grad(self._E, x, y, "x", hh), h)
-        dExy = _richardson(
-            lambda hh: self._mixed_xy(self._E, x, y, hh), h)
+        dEx = _richardson(lambda hh: _d1(self._E, x, y, "x", hh), h)
+        dExy = _richardson(lambda hh: _d2(self._E, x, y, "x", "y", hh), h)
         lhs = np.asarray(y) @ dExy - dEx  # sum_k y^k d2E/dx^k dy^j - dE/dx^j
         return 0.5 * np.linalg.solve(g, lhs)
 
-    def _spray_grad(self, x, y, var, h, hG):
-        """dG^i/d(var)^q as [i, q]; inner spray evaluations use step hG."""
-        n = len(x)
-        out = np.empty((n, n))
-        for q in range(n):
-            xp, yp = np.array(x), np.array(y)
-            xm, ym = np.array(x), np.array(y)
-            if var == "x":
-                xp[q] += h
-                xm[q] -= h
-            else:
-                yp[q] += h
-                ym[q] -= h
-            out[:, q] = (self.spray_at(xp, yp, hG)
-                         - self.spray_at(xm, ym, hG)) / (2.0 * h)
-        return out
+    def _n_rhat(self, x, y, h):
+        """N^i_j = dG^i/dy^j and Rhat^i_jk = delta_k N^i_j - delta_j N^i_k
+        from spray evaluations at inner step h."""
+        def G(xx, yy):
+            return self.spray_at(xx, yy, h)
 
-    def nonlinear_at(self, x, y, h):
-        return _richardson(lambda hh: self._spray_grad(x, y, "y", hh, h), h)
-
-    def torsion_at(self, x, y, h):
-        """Rhat^i_jk = delta_k N^i_j - delta_j N^i_k via second
-        derivatives of the spray closure."""
-        n = len(x)
-        N = self.nonlinear_at(x, y, h)
-        # Gxy[i, c, j] = d2 G^i / dx^c dy^j ; Gyy[i, m, j] symmetric (m,j)
-
-        def stack_xy(hh):
-            out = np.empty((n, n, n))
-            for c in range(n):
-                for j in range(n):
-                    val = np.zeros(n)
-                    for sc in (1.0, -1.0):
-                        for sj in (1.0, -1.0):
-                            xx, yy = np.array(x), np.array(y)
-                            xx[c] += sc * hh
-                            yy[j] += sj * hh
-                            val += sc * sj * self.spray_at(xx, yy, h)
-                    out[:, c, j] = val / (4.0 * hh * hh)
-            return out
-
-        def stack_yy(hh):
-            out = np.empty((n, n, n))
-            G0 = self.spray_at(x, y, h)
-            for m in range(n):
-                for j in range(m, n):
-                    if m == j:
-                        yp, ym = np.array(y), np.array(y)
-                        yp[m] += hh
-                        ym[m] -= hh
-                        col = (self.spray_at(x, yp, h) - 2.0 * G0
-                               + self.spray_at(x, ym, h)) / (hh * hh)
-                    else:
-                        col = np.zeros(n)
-                        for sm in (1.0, -1.0):
-                            for sj in (1.0, -1.0):
-                                yy = np.array(y)
-                                yy[m] += sm * hh
-                                yy[j] += sj * hh
-                                col += sm * sj * self.spray_at(x, yy, h)
-                        col /= 4.0 * hh * hh
-                    out[:, m, j] = col
-                    out[:, j, m] = col
-            return out
-
+        N = _richardson(lambda hh: _d1(G, x, y, "y", hh), h)
         # wider outer step: each spray evaluation carries ~1e-9 noise,
         # and second differences divide it by hh^2
         h2 = 20.0 * h
-        Gxy = _richardson(stack_xy, h2)
-        Gyy = _richardson(stack_yy, h2)
+        Gxy = _richardson(lambda hh: _d2(G, x, y, "x", "y", hh), h2)
+        Gyy = _richardson(lambda hh: _d2(G, x, y, "y", "y", hh), h2)
         # delta_c N^i_j = d2G^i/dx^c dy^j - N^m_c d2G^i/dy^m dy^j
         dN = np.einsum("icj->ijc", Gxy) - np.einsum(
             "mc,ijm->ijc", N, np.einsum("imj->ijm", Gyy))
-        return dN - dN.transpose(0, 2, 1)
+        return N, dN - dN.transpose(0, 2, 1)
 
-    # ---- public entry points -----------------------------------------
     def tensors(self, p: SamplePoint):
         """Dict of FD-backend values at p: L, g, G, N, Rhat, H, k."""
         self.metric.check_point(p)
         x, y = p.x, p.y
-        h = self._h(p)
+        h = _base_h(x, y)
         L = self._L(x, y)
         if L <= 0.0:
             raise DomainError(
                 f"L = {L:.6g} <= 0 at x={x.tolist()}, y={y.tolist()}")
         g = self.g_at(x, y, h)
         G = self.spray_at(x, y, h)
-        N = self.nonlinear_at(x, y, h)
-        Rhat = self.torsion_at(x, y, h)
+        N, Rhat = self._n_rhat(x, y, h)
         H = np.einsum("k,ikj->ij", y, Rhat)
-        n = p.n
-        k = float(np.trace(H)) / ((n - 1) * L * L)
+        k = float(np.trace(H)) / ((p.n - 1) * L * L)
         return {"L": L, "g": g, "G": G, "N": N, "Rhat": Rhat,
                 "H": H, "k": k}
 
-    def scalar_at(self, x, y):
-        p = SamplePoint(np.asarray(x, float), np.asarray(y, float))
-        h = self._h(p)
-        L = self._L(p.x, p.y)
-        Rhat = self.torsion_at(p.x, p.y, h)
-        H = np.einsum("k,ikj->ij", p.y, Rhat)
-        return float(np.trace(H)) / ((p.n - 1) * L * L)
-
-    def c_form(self, p: SamplePoint, step: float = None):
+    def c_form(self, p: SamplePoint):
         """C = L dk/dy by a plain central difference of the scalar
         curvature closure (no Richardson: each evaluation is itself a
         deep FD pipeline)."""
-        n = p.n
-        h = step if step is not None else 1e-2 * (1.0 + float(
-            np.max(np.abs(p.y))))
-        dk = np.empty(n)
-        for q in range(n):
-            yp, ym = np.array(p.y), np.array(p.y)
-            yp[q] += h
-            ym[q] -= h
-            dk[q] = (self.scalar_at(p.x, yp)
-                     - self.scalar_at(p.x, ym)) / (2.0 * h)
-        return self._L(p.x, p.y) * dk
+        def k(x, y):
+            L = self._L(x, y)
+            Rhat = self._n_rhat(x, y, _base_h(x, y))[1]
+            H = np.einsum("k,ikj->ij", y, Rhat)
+            return float(np.trace(H)) / ((p.n - 1) * L * L)
+
+        h = 1e-2 * (1.0 + float(np.max(np.abs(p.y))))
+        return self._L(p.x, p.y) * _d1(k, p.x, p.y, "y", h)

@@ -133,6 +133,7 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
     c_norm = []
     b_norm = []
     a_norm = []
+    fd = FDPipeline(metric)
     for p in points:
         if backend == "jet":
             cj = ChartJets(metric, p, *REQUIRED_ORDERS["A"])
@@ -144,7 +145,6 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
             b_norm.append(float(np.abs(cj.B.value()).max()))
             a_norm.append(float(np.abs(cj.A.value()).max()))
         else:
-            fd = FDPipeline(metric)
             T = fd.tensors(p)
             ell = T["g"] @ p.y / T["L"]
             phi = np.eye(metric.n) - np.outer(p.y, ell) / T["L"]

@@ -2,6 +2,7 @@
 and byte-level determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +106,7 @@ class TestVerify:
         out2 = str(tmp_path / "r2.jsonl")
         assert main(["verify", "--config", funk_cfg, "--out", out1]) == 0
         assert main(["verify", "--config", funk_cfg, "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 class TestClassify:
@@ -174,6 +175,7 @@ class TestConfigValidation:
         {"sampling": {"count": 1, "seed": -1}},
         {"sampling": {"count": True}},
         {"sampling": {"count": 1, "radius": True}},
+        {"sampling": {"count": 1, "radius": float("inf")}},
         {"tolerances": {"default": True}},
         {"metric": {"catalog": "funk", "dimension": 3,
                     "params": {"kappa": 1}}},
@@ -196,8 +198,8 @@ class TestConfigValidation:
         {"metric": {"catalog": "perturbed_riemannian", "dimension": 3,
                     "params": {"eps": "0.3"}}},
     ], ids=["seed-string", "seed-float", "seed-negative", "count-bool",
-            "radius-bool", "tolerance-bool", "unknown-param",
-            "tolerance-infinity", "suite-tolerance-infinity",
+            "radius-bool", "radius-infinity", "tolerance-bool",
+            "unknown-param", "tolerance-infinity", "suite-tolerance-infinity",
             "param-kappa-string", "param-kappa-bool", "param-kappa-nan",
             "param-seed-string", "param-seed-bool", "param-seed-float",
             "param-seed-negative", "param-eps-string"])

@@ -8,7 +8,7 @@ import pytest
 
 from finsler import catalog
 from finsler.engine import ChartJets
-from finsler.fdpipe import FDPipeline, _richardson
+from finsler.fdpipe import FDPipeline, _base_h, _d1, _d2, _richardson
 from finsler.jets import d_x, d_y
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
@@ -62,23 +62,25 @@ class TestStencils:
         def f(x, y):
             return math.sin(x[0]) * float(y @ y)
 
-        fd = FDPipeline(catalog.euclidean(3))
-        grad = _richardson(lambda hh: fd._grad(f, P.x, P.y, "x", hh), 1e-3)
+        grad = _richardson(lambda hh: _d1(f, P.x, P.y, "x", hh), 1e-3)
         expected = math.cos(P.x[0]) * float(P.y @ P.y)
         assert grad[0] == pytest.approx(expected, abs=1e-8)
         assert abs(grad[1]) < 1e-8
+        # d2f/dx^c dy^j is not symmetric in (c, j), so this pins the layout
+        mixed = _richardson(lambda hh: _d2(f, P.x, P.y, "x", "y", hh), 1e-3)
+        assert mixed[0] == pytest.approx(2.0 * math.cos(P.x[0]) * P.y,
+                                         abs=1e-8)
+        assert np.abs(mixed[1:]).max() < 1e-8
 
     def test_zero_field(self):
-        fd = FDPipeline(catalog.euclidean(3))
-
         def zero(x, y):
             return 0.0
 
-        h = fd._h(P)
-        for arr in (fd._grad(zero, P.x, P.y, "x", h),
-                    fd._grad(zero, P.x, P.y, "y", h),
-                    fd._mixed_xy(zero, P.x, P.y, h),
-                    fd._hess_yy(zero, P.x, P.y, h)):
+        h = _base_h(P.x, P.y)
+        for arr in (_d1(zero, P.x, P.y, "x", h),
+                    _d1(zero, P.x, P.y, "y", h),
+                    _d2(zero, P.x, P.y, "x", "y", h),
+                    _d2(zero, P.x, P.y, "y", "y", h)):
             assert np.abs(arr).max() == 0.0
 
     def test_agreement_with_jets_on_funk(self):
@@ -86,15 +88,36 @@ class TestStencils:
         L = ChartJets(metric, P, 1, 2).L
         jet = {(1, 0): d_x(L), (0, 1): d_y(L), (1, 1): d_y(d_x(L)),
                (0, 2): d_y(d_y(L))}
-        fd = FDPipeline(metric)
-        x, y, f, h = P.x, P.y, fd._L, fd._h(P)
+        x, y, f, h = P.x, P.y, FDPipeline(metric)._L, _base_h(P.x, P.y)
         stencils = {
-            (1, 0): lambda hh: fd._grad(f, x, y, "x", hh),
-            (0, 1): lambda hh: fd._grad(f, x, y, "y", hh),
-            (1, 1): lambda hh: fd._mixed_xy(f, x, y, hh),  # [x, y] axes
-            (0, 2): lambda hh: fd._hess_yy(f, x, y, hh),
+            (1, 0): lambda hh: _d1(f, x, y, "x", hh),
+            (0, 1): lambda hh: _d1(f, x, y, "y", hh),
+            (1, 1): lambda hh: _d2(f, x, y, "x", "y", hh),  # [x, y] axes
+            (0, 2): lambda hh: _d2(f, x, y, "y", "y", hh),
         }
         for key, stencil in stencils.items():
             jv, fv = jet[key].value(), _richardson(stencil, h)
             rel = np.abs(jv - fv).max() / max(np.abs(jv).max(), 1e-12)
             assert rel < 1e-5, (key, rel)
+
+    def test_array_valued_f_stacks_scalar_components(self):
+        """An array-valued f gives, bit for bit, its scalar components'
+        stencils stacked ahead of the derivative axes."""
+        def f(x, y):
+            return np.array([math.sin(x[0]) * float(y @ y),
+                             math.exp(x[1] - y[2]), float(x @ y) ** 3])
+
+        def component(i):
+            return lambda x, y: float(f(x, y)[i])
+
+        h = _base_h(P.x, P.y)
+        for stencil in (lambda g: _d1(g, P.x, P.y, "x", h),
+                        lambda g: _d1(g, P.x, P.y, "y", h),
+                        lambda g: _d2(g, P.x, P.y, "x", "y", h),
+                        lambda g: _d2(g, P.x, P.y, "y", "y", h)):
+            out = stencil(f)
+            stacked = np.stack([stencil(component(i)) for i in range(3)])
+            assert out.shape == stacked.shape
+            assert out.tobytes() == stacked.tobytes()
+        yy = _d2(f, P.x, P.y, "y", "y", h)
+        assert np.array_equal(yy, yy.transpose(0, 2, 1))
