@@ -8,10 +8,8 @@ curvature scalar k at a handful of random points.
 import numpy as np
 
 from finsler import catalog
-from finsler.berwald import connection
-from finsler.curvature import curvature_bundle
+from finsler.engine import chart
 from finsler.sampling import SamplingSpec, sample_points
-from finsler.scalarclass import extract_k
 
 for metric, expected in [
     (catalog.riemannian_space_form(3, 1.0), "k = +1 (round sphere)"),
@@ -21,16 +19,17 @@ for metric, expected in [
     points = sample_points(metric, SamplingSpec(count=3, seed=7))
 
     p = points[0]
-    conn = connection(metric, p)
-    print("spray G =", np.array_str(conn.G.components, precision=4))
+    # one ChartJets at the jet orders of the lowered curvature serves
+    # the spray, the connection and every curvature tensor
+    cj = chart(metric, p, "R_low")
+    print("spray G =", np.array_str(cj.G.value(), precision=4))
     print("connection N:")
-    print(np.array_str(conn.N.components, precision=4))
+    print(np.array_str(cj.N.value(), precision=4))
 
-    bundle = curvature_bundle(metric, p)
     # the full curvature contracted with y gives back the torsion
-    back = np.einsum("ixyz,z->ixy", bundle.R.components, p.y)
-    err = np.abs(back - bundle.Rhat.components).max()
+    back = np.einsum("ixyz,z->ixy", cj.R.value(), p.y)
+    err = np.abs(back - cj.Rhat.value()).max()
     print(f"R(·,·,y) reproduces the torsion to {err:.2e}")
 
     for i, q in enumerate(points):
-        print(f"  sample {i}: k = {extract_k(metric, q):+.10f}")
+        print(f"  sample {i}: k = {chart(metric, q, 'k').k.value():+.10f}")

@@ -9,29 +9,23 @@ scalar- and constant-curvature spaces, and classifies metrics.
 
 __version__ = "0.1.0"
 
-from .berwald import ConnectionData, connection
 from .catalog import (CATALOG, CatalogEntry, build_catalog_metric,
                       default_metrics, euclidean, funk,
                       perturbed_riemannian, randers_pflat,
                       riemannian_space_form)
-from .core import (StructuralFrame, TensorValue, antisymmetrize,
-                   cyclic_sum, indicatrix_project, structural_frame)
-from .curvature import CurvatureBundle, curvature_bundle
 from .dsl import (MetricAst, ast_to_source, eval_ast, metric_from_dsl,
                   parse_metric)
-from .engine import ChartJets
+from .engine import ChartJets, chart
 from .errors import (ArityError, ConfigError, DegenerateMetric,
                      DimensionTooSmall, DomainError, DslError,
                      DslSyntaxError, EvalDomainError, FinslerError,
                      HomogeneityError, IndexOutOfRange,
-                     InternalInconsistency, OrderUnsupported, RankError,
+                     InternalInconsistency, OrderUnsupported,
                      UnknownIdentifier)
 from .fdpipe import FDPipeline
 from .metric import FinslerMetric, SamplePoint
 from .sampling import SamplingSpec, sample_points
-from .scalarclass import (ClassificationReport, ScalarData, check_prop21,
-                          classify, extract_k, isotropy_residual,
-                          scalar_data)
+from .scalarclass import ClassificationReport, classify
 from .suites import SUITES, run_suites
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .jets import sqrt, sin, cos
+from .jets import sqrt, sin
 from .metric import FinslerMetric
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .catalog import build_catalog_metric
 from .dsl import metric_from_dsl
-from .engine import REQUIRED_ORDERS, ChartJets
+from .engine import chart
 from .errors import ConfigError, DslError, FinslerError, HomogeneityError
 from .fdpipe import FDPipeline
 from .sampling import SamplingSpec, sample_points
@@ -108,8 +108,11 @@ def _sampling(cfg, args):
         raise ConfigError(
             f"sampling seed must be a non-negative integer, got {seed!r}")
     radius = s.get("radius")
+    # metrics square |x|, so the square of the radius must be finite
+    # (comparisons, unlike arithmetic, take any int or float)
     if radius is not None and not (
-            _is_number(radius) and math.isfinite(radius) and radius > 0):
+            _is_number(radius)
+            and 0 < radius < math.sqrt(sys.float_info.max)):
         raise ConfigError(f"invalid sampling radius {radius!r}")
     return SamplingSpec(count=count, seed=seed, radius=radius)
 
@@ -182,7 +185,7 @@ def cmd_tensors(cfg, args):
         _emit(stream, _header("tensors", cfg, metric, spec, backend))
         for idx, p in enumerate(points):
             if backend == "jet":
-                cj = ChartJets(metric, p, *REQUIRED_ORDERS["A"])
+                cj = chart(metric, p, "A")
                 values = {
                     "L": cj.L.value(), "g": cj.g.value(), "G": cj.G.value(),
                     "N": cj.N.value(), "Gamma": cj.Gamma.value(),

@@ -17,7 +17,7 @@ jet scalars.  All reported positions are 1-based line:column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -106,7 +106,8 @@ def _tokenize(source: str):
 
 @dataclass(frozen=True)
 class Node:
-    pos: Tuple[int, int]  # (line, column), 1-based
+    # (line, column), 1-based; == compares trees without their positions
+    pos: Tuple[int, int] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -456,32 +457,6 @@ def ast_to_source(node, parent_prec=0) -> str:
         args = ", ".join(ast_to_source(a) for a in node.args)
         return f"{node.func}({args})"
     raise TypeError(f"not an AST node: {node!r}")
-
-
-def structurally_equal(a, b) -> bool:
-    """AST equality ignoring source positions."""
-    if isinstance(a, MetricAst):
-        return a.n == b.n and structurally_equal(a.root, b.root)
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Num):
-        return a.value == b.value
-    if isinstance(a, Const):
-        return a.name == b.name
-    if isinstance(a, Var):
-        return a.group == b.group and a.index == b.index
-    if isinstance(a, VecRef):
-        return a.group == b.group
-    if isinstance(a, Unary):
-        return a.op == b.op and structurally_equal(a.arg, b.arg)
-    if isinstance(a, Binary):
-        return (a.op == b.op and structurally_equal(a.left, b.left)
-                and structurally_equal(a.right, b.right))
-    if isinstance(a, Call):
-        return (a.func == b.func and len(a.args) == len(b.args)
-                and all(structurally_equal(p, q)
-                        for p, q in zip(a.args, b.args)))
-    return False
 
 
 # ---------------------------------------------------------------------------

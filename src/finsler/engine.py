@@ -32,24 +32,28 @@ from .metric import FinslerMetric, SamplePoint
 
 _LETTERS = "abcdefgh"
 
-# minimum jet orders (px, py) each pipeline attribute needs; the single
-# source of jet orders outside the identity suites
+# minimum jet orders (px, py) each pipeline attribute and each identity
+# suite of finsler.suites needs; the single source of jet orders
 REQUIRED_ORDERS = {
     "L": (0, 0), "E": (0, 0), "ell": (0, 1), "g": (0, 2), "g_inv": (0, 2),
     "phi": (0, 1), "hbar": (0, 2), "G": (1, 2), "N": (1, 3),
     "Gamma": (1, 4), "Rhat": (2, 4), "H": (2, 4), "k": (2, 4),
     "C": (2, 5), "B": (2, 6), "A": (2, 7), "Ntensor": (2, 6), "F": (2, 6),
     "R": (2, 5), "R_low": (2, 5),
+    # suites differentiate past the attributes they read (bianchi takes
+    # h_cov of Rhat, lemma23 and lemma31 take d_y of B)
+    "lemma21": (1, 4), "lemma22": (2, 6), "lemma23": (2, 7),
+    "theorem21": (2, 6), "corollary21": (2, 6), "prop21": (2, 6),
+    "lemma31": (2, 7), "bianchi": (3, 5),
 }
 
 
-def chart_for(metric: FinslerMetric, p: SamplePoint, chart: ChartJets,
-              attr: str) -> ChartJets:
-    """``chart`` when given, else a new :class:`ChartJets` at p with the
-    jet orders that attribute ``attr`` needs."""
-    if chart is not None:
-        return chart
-    return ChartJets(metric, p, *REQUIRED_ORDERS[attr])
+def chart(metric: FinslerMetric, p: SamplePoint, *names) -> ChartJets:
+    """A :class:`ChartJets` at p with, on each axis, the largest jet order
+    that the named attributes or suites need."""
+    orders = [REQUIRED_ORDERS[name] for name in names]
+    return ChartJets(metric, p, max(px for px, _ in orders),
+                     max(py for _, py in orders))
 
 
 class ChartJets:

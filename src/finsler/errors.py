@@ -21,10 +21,6 @@ class DegenerateMetric(FinslerError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class RankError(FinslerError):
-    """A tensor slot designation is out of range or has the wrong variance."""
-
-
 class OrderUnsupported(FinslerError):
     """A derivative of higher order than the jet truncation supports
     was requested."""

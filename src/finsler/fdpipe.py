@@ -90,7 +90,8 @@ class FDPipeline:
         self.metric = metric
 
     def _L(self, x, y):
-        return float(self.metric.evaluate(list(x), list(y)))
+        # Python floats: arithmetic on NumPy scalars is slower
+        return float(self.metric.evaluate(x.tolist(), y.tolist()))
 
     def _E(self, x, y):
         v = self._L(x, y)

@@ -64,7 +64,7 @@ class FinslerMetric:
 
     def L(self, p: SamplePoint) -> float:
         self.check_point(p)
-        val = self.evaluate(list(p.x), list(p.y))
+        val = self.evaluate(p.x.tolist(), p.y.tolist())
         return float(val)
 
     def check_homogeneity(self, points, rtol=1e-8):

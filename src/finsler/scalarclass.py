@@ -1,5 +1,5 @@
-"""Scalar-curvature extraction, the derivative ladder C, B, A, the
-auxiliary forms N and F, per-identity checks, and metric classification.
+"""Metric classification from the scalar curvature k and its vertical
+derivative ladder C, B, A (read from :class:`~finsler.engine.ChartJets`).
 
 The classification verdict is sample-based: "scalar" means the deviation
 tensor was isotropic at every sampled point (dimension must be >= 3),
@@ -16,28 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TensorValue
-from .engine import REQUIRED_ORDERS, ChartJets, chart_for
+from .engine import chart
 from .errors import ConfigError, DimensionTooSmall, InternalInconsistency
 from .fdpipe import FDPipeline
-from .metric import FinslerMetric, SamplePoint
+from .metric import FinslerMetric
 from .sampling import SamplingSpec, sample_points
 from . import suites
 
 JET_TOL = 1e-7
 FD_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class ScalarData:
-    """The scalar curvature and its derivative ladder at one point."""
-
-    k: float
-    C: TensorValue
-    B: TensorValue
-    A: TensorValue
-    Ntensor: TensorValue
-    F: TensorValue
 
 
 @dataclass(frozen=True)
@@ -68,52 +55,6 @@ class ClassificationReport:
         }
 
 
-def extract_k(metric: FinslerMetric, p: SamplePoint,
-              chart: ChartJets = None) -> float:
-    """k = trace(H) / ((n-1) L^2); on an isotropic metric this is the
-    flag curvature, on a generic metric it is the trace average used by
-    isotropy_residual."""
-    cj = chart_for(metric, p, chart, "k")
-    return float(cj.k.value())
-
-
-def isotropy_residual(metric: FinslerMetric, p: SamplePoint,
-                      chart: ChartJets = None) -> float:
-    """|H - k L^2 phi| / max(|H|, L^2); zero iff the deviation tensor is
-    isotropic at p."""
-    cj = chart_for(metric, p, chart, "H")
-    return suites.isotropy(cj.H.value(), cj.k.value(), cj.L.value(),
-                           cj.phi.value())
-
-
-def scalar_data(metric: FinslerMetric, p: SamplePoint,
-                chart: ChartJets = None) -> ScalarData:
-    cj = chart_for(metric, p, chart, "A")
-    return ScalarData(
-        k=float(cj.k.value()),
-        C=TensorValue(p, (0, 1), cj.C.value()),
-        B=TensorValue(p, (0, 2), cj.B.value()),
-        A=TensorValue(p, (0, 3), cj.A.value()),
-        Ntensor=TensorValue(p, (0, 2), cj.Ntensor.value()),
-        F=TensorValue(p, (0, 2), cj.F.value()),
-    )
-
-
-def check_prop21(metric: FinslerMetric, p: SamplePoint,
-                 chart: ChartJets = None) -> dict:
-    """The prop21 suite plus the two projected norms it compares."""
-    cj = chart_for(metric, p, chart, "Ntensor")
-    out = dict(suites.suite_prop21(cj))
-    pr, pn = suites.projected_norms(cj)
-    out["projected_curvature_norm"] = pr
-    out["projected_N_norm"] = pn
-    return out
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
 def classify(metric: FinslerMetric, spec: SamplingSpec = None,
              backend: str = "jet",
              tolerance: float = None) -> ClassificationReport:
@@ -136,7 +77,7 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
     fd = FDPipeline(metric)
     for p in points:
         if backend == "jet":
-            cj = ChartJets(metric, p, *REQUIRED_ORDERS["A"])
+            cj = chart(metric, p, "A")
             k = float(cj.k.value())
             iso.append(suites.isotropy(cj.H.value(), k, cj.L.value(),
                                        cj.phi.value()))

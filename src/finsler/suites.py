@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import ChartJets
+from .engine import ChartJets, chart
 from .jets import d_y
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,15 @@ def suite_corollary21(cj: ChartJets):
     }
 
 
+def _projected(cj: ChartJets):
+    """The lowered curvature and the N form with phi composed into every
+    slot."""
+    phi = cj.phi.value()
+    PR = np.einsum("ax,by,cz,dw,abcd->xyzw", phi, phi, phi, phi,
+                   cj.R_low.value())
+    return PR, phi.T @ cj.Ntensor.value() @ phi
+
+
 def suite_prop21(cj: ChartJets):
     """Projected curvature vs projected N form: both vanish together,
     and the projected curvature has its closed expression in B and k."""
@@ -194,8 +203,7 @@ def suite_prop21(cj: ChartJets):
     Nt = cj.Ntensor.value()
     B = cj.B.value()
 
-    PR = np.einsum("ax,by,cz,dw,abcd->xyzw", phi, phi, phi, phi, Rl)
-    PN = phi.T @ Nt @ phi
+    PR, PN = _projected(cj)
     rhs = np.einsum("yw,zx->xyzw", hbar, B / 3.0 + k * hbar)
     rhs = rhs - rhs.transpose(1, 0, 2, 3)
     return {
@@ -210,11 +218,7 @@ def projected_norms(cj: ChartJets):
     """Max-norms of the fully projected curvature and of the projected
     N form (informational: both vanish together on scalar-curvature
     spaces exactly when the projected curvature does)."""
-    phi = cj.phi.value()
-    Rl = cj.R_low.value()
-    Nt = cj.Ntensor.value()
-    PR = np.einsum("ax,by,cz,dw,abcd->xyzw", phi, phi, phi, phi, Rl)
-    PN = phi.T @ Nt @ phi
+    PR, PN = _projected(cj)
     return _mx(PR), _mx(PN)
 
 
@@ -282,27 +286,9 @@ SUITES = {
     "bianchi": suite_bianchi,
 }
 
-# minimum jet orders (px, py) each suite needs
-SUITE_ORDERS = {
-    "lemma21": (2, 4),
-    "lemma22": (2, 6),
-    "lemma23": (2, 7),
-    "theorem21": (2, 6),
-    "corollary21": (2, 6),
-    "prop21": (2, 6),
-    "lemma31": (2, 7),
-    "bianchi": (3, 5),
-}
-
 # suites that hold on every Finsler metric (the rest assume the
 # scalar-curvature property)
 UNIVERSAL_SUITES = ("lemma21", "lemma22", "lemma23", "lemma31", "bianchi")
-
-
-def orders_for(names):
-    px = max(SUITE_ORDERS[s][0] for s in names)
-    py = max(SUITE_ORDERS[s][1] for s in names)
-    return px, py
 
 
 def run_suites(metric, points, names):
@@ -312,10 +298,9 @@ def run_suites(metric, points, names):
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-    px, py = orders_for(names)
     records = []
     for idx, p in enumerate(points):
-        cj = ChartJets(metric, p, px, py)
+        cj = chart(metric, p, *names)
         for name in names:
             for ident, value in SUITES[name](cj).items():
                 records.append({

@@ -14,12 +14,12 @@ import pytest
 
 from finsler import catalog
 from finsler.cli import main
-from finsler.engine import ChartJets
+from finsler.engine import ChartJets, chart
 from finsler.fdpipe import FDPipeline
 from finsler.sampling import SamplingSpec, sample_points
-from finsler.scalarclass import (check_prop21, classify, extract_k,
-                                 isotropy_residual, scalar_data)
-from finsler.suites import run_suites
+from finsler.scalarclass import classify
+from finsler.suites import isotropy, projected_norms, run_suites, \
+    suite_prop21
 from oracles import deviation_fd, space_form_a
 
 N = 3
@@ -27,6 +27,12 @@ N = 3
 CATALOG_METRICS = catalog.default_metrics(N)
 SCALAR_METRICS = [m for m in CATALOG_METRICS
                   if not m.name.startswith("perturbed_riemannian")]
+
+
+def isotropy_residual(metric, p):
+    cj = chart(metric, p, "H")
+    return isotropy(cj.H.value(), cj.k.value(), cj.L.value(),
+                    cj.phi.value())
 
 
 def emit(capsys, num, label, ok, detail):
@@ -79,7 +85,7 @@ def test_03_known_curvature_oracles(capsys):
         metric = (catalog.euclidean(N) if kappa == 0.0
                   else catalog.riemannian_space_form(N, kappa))
         for p in sample_points(metric, SamplingSpec(count=10, seed=103)):
-            jet_errs.append(abs(extract_k(metric, p) - kappa))
+            jet_errs.append(abs(chart(metric, p, "k").k.value() - kappa))
             # engine-independent witness via the FD Riemann oracle
             a_fn = (space_form_a(kappa) if kappa != 0.0
                     else lambda x: np.eye(N))
@@ -90,7 +96,7 @@ def test_03_known_curvature_oracles(capsys):
     oracle_err = max(oracle_errs)
 
     funk = catalog.funk(N)
-    funk_errs = [abs(extract_k(funk, p) + 0.25) for p in
+    funk_errs = [abs(chart(funk, p, "k").k.value() + 0.25) for p in
                  sample_points(funk, SamplingSpec(count=10, seed=104))]
     funk_err = max(funk_errs)
     verdict = classify(funk, SamplingSpec(count=8, seed=105)).verdict
@@ -148,11 +154,11 @@ def test_05_fourway_agreement(capsys):
         verdict = classify(metric, SamplingSpec(count=6, seed=109)).verdict
         is_const = verdict == "constant"
         for p in sample_points(metric, SamplingSpec(count=6, seed=109)):
-            data = scalar_data(metric, p)
+            cj = chart(metric, p, "A")
             preds = (is_const,
-                     np.abs(data.C.components).max() < tol,
-                     np.abs(data.B.components).max() < tol,
-                     np.abs(data.A.components).max() < tol)
+                     np.abs(cj.C.value()).max() < tol,
+                     np.abs(cj.B.value()).max() < tol,
+                     np.abs(cj.A.value()).max() < tol)
             if len(set(preds)) != 1:
                 agree = False
                 detail.append(f"{metric.name}: {preds}")
@@ -178,7 +184,7 @@ def test_06_scalar_not_constant_witness(capsys):
     metric = catalog.randers_pflat(N)
     report = classify(metric, SamplingSpec(count=8, seed=111))
     points = sample_points(metric, SamplingSpec(count=10, seed=112))
-    max_C = max(np.abs(scalar_data(metric, p).C.components).max()
+    max_C = max(np.abs(chart(metric, p, "A").C.value()).max()
                 for p in points)
     records = run_suites(metric, points, ["lemma22", "lemma23"])
     worst = max(r["residual"] for r in records)
@@ -197,11 +203,10 @@ def test_07_projection_biconditional(capsys):
     worst = 0.0
     for metric in SCALAR_METRICS:
         for p in sample_points(metric, SamplingSpec(count=10, seed=113)):
-            res = check_prop21(metric, p)
-            pr = res["projected_curvature_norm"]
-            pn = res["projected_N_norm"]
+            cj = chart(metric, p, "prop21")
+            pr, pn = projected_norms(cj)
             bicond = bicond and ((pr < tol) == (pn < tol))
-            worst = max(worst, res["projected_curvature_form"])
+            worst = max(worst, suite_prop21(cj)["projected_curvature_form"])
     ok = bicond and worst < 1e-6
     emit(capsys, 7, "projection biconditional", ok,
          f"biconditional holds: {bicond}, identity residual "

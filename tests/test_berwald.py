@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from finsler import catalog
-from finsler.berwald import connection
-from finsler.engine import ChartJets
+from finsler.engine import ChartJets, chart
 from finsler.jets import d_y, jet_einsum
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
@@ -58,17 +57,16 @@ class TestSpray:
 
 class TestConnection:
     def test_euclidean_vanishes(self):
-        data = connection(catalog.euclidean(3), P)
-        assert np.abs(data.N.components).max() == 0.0
-        assert np.abs(data.Gamma.components).max() == 0.0
+        cj = chart(catalog.euclidean(3), P, "Gamma")
+        assert np.abs(cj.N.value()).max() == 0.0
+        assert np.abs(cj.Gamma.value()).max() == 0.0
 
     @pytest.mark.parametrize("metric", ALL_METRICS,
                              ids=lambda m: m.name)
     def test_invariants(self, metric):
         for p in sample_points(metric, SamplingSpec(count=4, seed=13)):
-            data = connection(metric, p)
-            G, N = data.G.components, data.N.components
-            Gamma = data.Gamma.components
+            cj = chart(metric, p, "Gamma")
+            G, N, Gamma = cj.G.value(), cj.N.value(), cj.Gamma.value()
             # torsion-freeness: symmetric lower pair
             assert np.abs(Gamma - Gamma.transpose(0, 2, 1)).max() < 1e-10
             # homogeneity contractions
@@ -78,12 +76,12 @@ class TestConnection:
     def test_riemannian_coefficients_are_christoffel(self):
         metric = catalog.perturbed_riemannian(3, seed=1)
         gamma = christoffel_fd(metric.a_matrix, P.x)
-        data = connection(metric, P)
-        np.testing.assert_allclose(data.Gamma.components, gamma, atol=1e-8)
+        Gamma = chart(metric, P, "Gamma").Gamma.value()
+        np.testing.assert_allclose(Gamma, gamma, atol=1e-8)
         # and they are independent of y for a Riemannian metric
-        data2 = connection(metric, SamplePoint(P.x, [0.3, 1.4, -0.8]))
-        np.testing.assert_allclose(data2.Gamma.components,
-                                   data.Gamma.components, atol=1e-10)
+        p2 = SamplePoint(P.x, [0.3, 1.4, -0.8])
+        Gamma2 = chart(metric, p2, "Gamma").Gamma.value()
+        np.testing.assert_allclose(Gamma2, Gamma, atol=1e-10)
 
 
 class TestCovariantDerivatives:

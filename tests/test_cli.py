@@ -176,6 +176,11 @@ class TestConfigValidation:
         {"sampling": {"count": True}},
         {"sampling": {"count": 1, "radius": True}},
         {"sampling": {"count": 1, "radius": float("inf")}},
+        {"metric": {"catalog": "riemannian_space_form", "dimension": 3},
+         "sampling": {"count": 1, "radius": 1e308}},
+        {"metric": {"catalog": "riemannian_space_form", "dimension": 3},
+         "sampling": {"count": 1, "radius": 1e200}},
+        {"sampling": {"count": 1, "radius": 10 ** 400}},
         {"tolerances": {"default": True}},
         {"metric": {"catalog": "funk", "dimension": 3,
                     "params": {"kappa": 1}}},
@@ -198,7 +203,8 @@ class TestConfigValidation:
         {"metric": {"catalog": "perturbed_riemannian", "dimension": 3,
                     "params": {"eps": "0.3"}}},
     ], ids=["seed-string", "seed-float", "seed-negative", "count-bool",
-            "radius-bool", "radius-infinity", "tolerance-bool",
+            "radius-bool", "radius-infinity", "radius-1e308",
+            "radius-square-overflow", "radius-huge-int", "tolerance-bool",
             "unknown-param", "tolerance-infinity", "suite-tolerance-infinity",
             "param-kappa-string", "param-kappa-bool", "param-kappa-nan",
             "param-seed-string", "param-seed-bool", "param-seed-float",

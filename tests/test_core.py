@@ -1,12 +1,11 @@
-"""Tensor data model, structural frame, and the algebraic operators."""
+"""Sample points and the structural frame (L, g, g^-1, ell, phi, hbar)."""
 
 import numpy as np
 import pytest
 
 from finsler import catalog
-from finsler.core import (StructuralFrame, TensorValue, antisymmetrize,
-                          cyclic_sum, indicatrix_project, structural_frame)
-from finsler.errors import DegenerateMetric, DomainError, RankError
+from finsler.engine import chart
+from finsler.errors import DegenerateMetric, DomainError
 from finsler.jets import sqrt
 from finsler.metric import FinslerMetric, SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
@@ -15,13 +14,6 @@ P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 
 
 class TestTensorValue:
-    def test_shape_validation(self):
-        TensorValue(P, (1, 1), np.eye(3))
-        with pytest.raises(RankError):
-            TensorValue(P, (1, 1), np.zeros((3, 2)))
-        with pytest.raises(RankError):
-            TensorValue(P, (0, 1), np.array([1.0, np.nan, 0.0]))
-
     def test_sample_point_validation(self):
         with pytest.raises(DomainError):
             SamplePoint([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])  # zero direction
@@ -29,40 +21,43 @@ class TestTensorValue:
             SamplePoint([0.0, 0.0], [1.0, 0.0, 0.0])  # length mismatch
 
 
+def frame(metric, p):
+    """The structural frame at the jet orders g^-1 needs."""
+    cj = chart(metric, p, "g_inv")
+    return (cj.L.value(), cj.g.value(), cj.g_inv.value(), cj.ell.value(),
+            cj.phi.value(), cj.hbar.value())
+
+
 class TestStructuralFrame:
     def test_euclidean_closed_form(self):
-        frame = structural_frame(catalog.euclidean(3), P)
+        _, g, _, ell, _, hbar = frame(catalog.euclidean(3), P)
         u = P.y / np.linalg.norm(P.y)
-        np.testing.assert_allclose(frame.g.components, np.eye(3),
+        np.testing.assert_allclose(g, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(ell, u, atol=1e-12)
+        np.testing.assert_allclose(hbar, np.eye(3) - np.outer(u, u),
                                    atol=1e-12)
-        np.testing.assert_allclose(frame.ell.components, u, atol=1e-12)
-        np.testing.assert_allclose(frame.hbar.components,
-                                   np.eye(3) - np.outer(u, u), atol=1e-12)
 
     @pytest.mark.parametrize("key", sorted(catalog.CATALOG))
     def test_frame_invariants(self, key):
         params = {"kappa": 1.0} if key == "riemannian_space_form" else {}
         metric = catalog.build_catalog_metric(key, 3, **params)
         for p in sample_points(metric, SamplingSpec(count=5, seed=11)):
-            fr = structural_frame(metric, p)
-            g, ell = fr.g.components, fr.ell.components
-            phi, hbar = fr.phi.components, fr.hbar.components
-            assert float(ell @ p.y) == pytest.approx(fr.L, rel=1e-10)
+            L, g, g_inv, ell, phi, hbar = frame(metric, p)
+            assert float(ell @ p.y) == pytest.approx(L, rel=1e-10)
             assert np.abs(phi @ p.y).max() < 1e-10
-            assert np.abs(hbar @ p.y).max() < 1e-10 * max(1, fr.L)
+            assert np.abs(hbar @ p.y).max() < 1e-10 * max(1, L)
             np.testing.assert_allclose(g, hbar + np.outer(ell, ell),
                                        atol=1e-10)
             assert np.trace(phi) == pytest.approx(2.0, abs=1e-10)
-            np.testing.assert_allclose(
-                fr.g_inv.components @ g, np.eye(3), atol=1e-9)
+            np.testing.assert_allclose(g_inv @ g, np.eye(3), atol=1e-9)
             np.testing.assert_allclose(g, g.T, atol=1e-12)
             # ell is the metric pairing with the normalized direction
-            np.testing.assert_allclose(ell, g @ p.y / fr.L, atol=1e-10)
+            np.testing.assert_allclose(ell, g @ p.y / L, atol=1e-10)
 
     def test_domain_error(self):
         metric = catalog.funk(3)
         with pytest.raises(DomainError):
-            structural_frame(metric, SamplePoint([1.2, 0, 0], [1, 0, 0]))
+            frame(metric, SamplePoint([1.2, 0, 0], [1, 0, 0]))
 
     def test_degenerate_metric(self):
         # |y|^2 + 3 y1 y2 has an indefinite fiber Hessian
@@ -72,98 +67,5 @@ class TestStructuralFrame:
 
         metric = FinslerMetric(n=3, evaluate=L, name="indefinite")
         with pytest.raises(DegenerateMetric) as info:
-            structural_frame(metric, SamplePoint([0, 0, 0], [1, 1, 0.5]))
+            frame(metric, SamplePoint([0, 0, 0], [1, 1, 0.5]))
         assert info.value.min_eigenvalue is not None
-
-
-class TestOperators:
-    def frame(self):
-        return structural_frame(catalog.funk(3), P)
-
-    def test_antisymmetrize_symmetric_is_zero(self):
-        fr = self.frame()
-        out = antisymmetrize(fr.hbar, 0, 1)
-        assert np.abs(out.components).max() < 1e-14
-
-    def test_antisymmetrize_basis(self):
-        comp = np.zeros((3, 3))
-        comp[1, 2] = 1.0
-        out = antisymmetrize(TensorValue(P, (0, 2), comp), 0, 1)
-        expected = np.zeros((3, 3))
-        expected[1, 2], expected[2, 1] = 1.0, -1.0
-        np.testing.assert_allclose(out.components, expected)
-
-    def test_antisymmetrize_twice_doubles(self):
-        rng = np.random.Generator(np.random.Philox(5))
-        tv = TensorValue(P, (0, 2), rng.normal(size=(3, 3)))
-        once = antisymmetrize(tv, 0, 1)
-        twice = antisymmetrize(once, 0, 1)
-        np.testing.assert_allclose(twice.components, 2.0 * once.components)
-
-    def test_antisymmetrize_slot_errors(self):
-        fr = self.frame()
-        with pytest.raises(RankError):
-            antisymmetrize(fr.hbar, 0, 2)
-        with pytest.raises(RankError):
-            antisymmetrize(fr.ell, 0, 1)
-
-    def test_cyclic_sum_volume_form(self):
-        eps = np.zeros((3, 3, 3))
-        for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-            eps[i, j, k] = 1.0
-            eps[i, k, j] = -1.0
-        out = cyclic_sum(TensorValue(P, (0, 3), eps), 0, 1, 2)
-        np.testing.assert_allclose(out.components, 3.0 * eps)
-
-    def test_cyclic_sum_zero(self):
-        out = cyclic_sum(TensorValue(P, (0, 3), np.zeros((3, 3, 3))),
-                         0, 1, 2)
-        assert np.abs(out.components).max() == 0.0
-
-    def test_cyclic_sum_expansion(self):
-        # omega(X,Y,Z) = ell(X) B(Y,Z) with B symmetric: the cyclic sum
-        # expands to the three slot rotations, matching a manual sum
-        fr = self.frame()
-        rng = np.random.Generator(np.random.Philox(6))
-        b = rng.normal(size=(3, 3))
-        b = b + b.T
-        ell = fr.ell.components
-        omega = np.einsum("x,yz->xyz", ell, b)
-        out = cyclic_sum(TensorValue(P, (0, 3), omega), 0, 1, 2)
-        manual = (np.einsum("x,yz->xyz", ell, b)
-                  + np.einsum("y,zx->xyz", ell, b)
-                  + np.einsum("z,xy->xyz", ell, b))
-        np.testing.assert_allclose(out.components, manual, atol=1e-12)
-
-    def test_projection_kills_ell(self):
-        fr = self.frame()
-        out = indicatrix_project(fr.ell, fr)
-        assert np.abs(out.components).max() < 1e-12
-
-    def test_projection_fixes_hbar(self):
-        fr = self.frame()
-        out = indicatrix_project(fr.hbar, fr)
-        np.testing.assert_allclose(out.components, fr.hbar.components,
-                                   atol=1e-12)
-
-    def test_projection_idempotent_and_indicatory(self):
-        fr = self.frame()
-        rng = np.random.Generator(np.random.Philox(7))
-        for sig in [(0, 1), (0, 2), (1, 2), (0, 3)]:
-            comp = rng.normal(size=(3,) * (sig[0] + sig[1]))
-            tv = TensorValue(P, sig, comp)
-            once = indicatrix_project(tv, fr)
-            twice = indicatrix_project(once, fr)
-            np.testing.assert_allclose(twice.components, once.components,
-                                       atol=1e-10)
-            # every covariant slot annihilates the direction vector
-            arr = once.components
-            for axis in range(sig[0], arr.ndim):
-                contracted = np.tensordot(arr, P.y, axes=(axis, 0))
-                assert np.abs(contracted).max() < 1e-10 * max(
-                    1.0, np.abs(arr).max())
-
-    def test_projection_rank_error(self):
-        fr = self.frame()
-        with pytest.raises(RankError):
-            indicatrix_project(TensorValue(P, (2, 0), np.eye(3)), fr)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from finsler import catalog
-from finsler.curvature import curvature_bundle
-from finsler.engine import ChartJets
+from finsler.engine import ChartJets, chart
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
-from finsler.suites import SUITE_ORDERS, suite_bianchi
+from finsler.suites import suite_bianchi
 from oracles import deviation_fd, riemann_fd, space_form_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
@@ -26,8 +25,7 @@ def deviation(metric, p):
 
 def bianchi_cyclic(metric, p):
     """The cyclic-identity residual of the bianchi suite."""
-    cj = ChartJets(metric, p, *SUITE_ORDERS["bianchi"])
-    return suite_bianchi(cj)["cyclic_identity"]
+    return suite_bianchi(chart(metric, p, "bianchi"))["cyclic_identity"]
 
 
 ALL_METRICS = [
@@ -96,10 +94,11 @@ class TestFullCurvature:
 
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_contracts_to_torsion(self, metric):
-        bundle = curvature_bundle(metric, P)
-        back = np.einsum("ixyz,z->ixy", bundle.R.components, P.y)
-        scale = max(1.0, np.abs(bundle.Rhat.components).max())
-        assert np.abs(back - bundle.Rhat.components).max() / scale < 1e-10
+        cj = chart(metric, P, "R_low")
+        Rhat = cj.Rhat.value()
+        back = np.einsum("ixyz,z->ixy", cj.R.value(), P.y)
+        scale = max(1.0, np.abs(Rhat).max())
+        assert np.abs(back - Rhat).max() / scale < 1e-10
 
     @pytest.mark.parametrize("kappa", [1.0, -1.0])
     def test_lowered_matches_riemann_oracle(self, kappa):

@@ -5,21 +5,39 @@ import numpy as np
 import pytest
 
 from finsler import catalog
-from finsler.engine import ChartJets
+from finsler.engine import ChartJets, chart
 from finsler.errors import DimensionTooSmall
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
-from finsler.scalarclass import (check_prop21, classify, extract_k,
-                                 isotropy_residual, scalar_data)
-from finsler.suites import (SUITE_ORDERS, SUITES, suite_lemma22,
-                            suite_lemma23)
+from finsler.scalarclass import classify
+from finsler.suites import (SUITES, isotropy, projected_norms,
+                            suite_lemma22, suite_lemma23, suite_prop21)
 from oracles import deviation_fd, space_form_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 
 
 def run_suite(name, metric, p):
-    return SUITES[name](ChartJets(metric, p, *SUITE_ORDERS[name]))
+    return SUITES[name](chart(metric, p, name))
+
+
+def extract_k(metric, p):
+    return chart(metric, p, "k").k.value()
+
+
+def isotropy_residual(metric, p):
+    cj = chart(metric, p, "H")
+    return isotropy(cj.H.value(), cj.k.value(), cj.L.value(),
+                    cj.phi.value())
+
+
+def prop21_with_norms(metric, p):
+    """The prop21 suite plus the two projected norms it compares."""
+    cj = chart(metric, p, "prop21")
+    res = suite_prop21(cj)
+    res["projected_curvature_norm"], res["projected_N_norm"] = \
+        projected_norms(cj)
+    return res
 
 
 CONSTANT_METRICS = [
@@ -61,10 +79,10 @@ class TestDerivativeLadder:
     @pytest.mark.parametrize("metric", CONSTANT_METRICS,
                              ids=lambda m: m.name)
     def test_ladder_vanishes_on_constant(self, metric):
-        data = scalar_data(metric, P)
-        assert np.abs(data.C.components).max() < 1e-12
-        assert np.abs(data.B.components).max() < 1e-12
-        assert np.abs(data.A.components).max() < 1e-12
+        cj = chart(metric, P, "A")
+        assert np.abs(cj.C.value()).max() < 1e-12
+        assert np.abs(cj.B.value()).max() < 1e-12
+        assert np.abs(cj.A.value()).max() < 1e-12
 
     def test_randers_nonzero_with_lemmas(self):
         metric = catalog.randers_pflat(3)
@@ -77,15 +95,10 @@ class TestDerivativeLadder:
 
     def test_tensor_accessors(self):
         metric = catalog.randers_pflat(3)
-        cj = ChartJets(metric, P, 2, 7)
-        data = scalar_data(metric, P, chart=cj)
-        assert data.C.signature == (0, 1)
-        assert data.B.signature == (0, 2)
-        assert data.A.signature == (0, 3)
         # each form at the jet orders it needs
-        C = ChartJets(metric, P, 2, 5).C.value()
-        B = ChartJets(metric, P, 2, 6).B.value()
-        A = cj.A.value()
+        C = chart(metric, P, "C").C.value()
+        B = chart(metric, P, "B").B.value()
+        A = chart(metric, P, "A").A.value()
         # B symmetric, everything indicatory
         assert np.abs(B - B.T).max() < 1e-12
         assert abs(C @ P.y) < 1e-12
@@ -128,19 +141,19 @@ class TestChecks:
         tol = 1e-7
         for metric in CONSTANT_METRICS + [catalog.randers_pflat(3)]:
             for p in sample_points(metric, SamplingSpec(count=5, seed=23)):
-                res = check_prop21(metric, p)
+                res = prop21_with_norms(metric, p)
                 pr = res["projected_curvature_norm"]
                 pn = res["projected_N_norm"]
                 assert (pr < tol) == (pn < tol), metric.name
                 assert res["projected_curvature_form"] < 1e-10
 
     def test_prop21_euclidean_both_zero(self):
-        res = check_prop21(catalog.euclidean(3), P)
+        res = prop21_with_norms(catalog.euclidean(3), P)
         assert res["projected_curvature_norm"] == 0.0
         assert res["projected_N_norm"] == 0.0
 
     def test_prop21_sphere_both_nonzero(self):
-        res = check_prop21(catalog.riemannian_space_form(3, 1.0), P)
+        res = prop21_with_norms(catalog.riemannian_space_form(3, 1.0), P)
         assert res["projected_curvature_norm"] > 1e-3
         assert res["projected_N_norm"] > 1e-3
 
