@@ -7,7 +7,7 @@ Each constructor returns a :class:`FinslerMetric`; the module-level
 from __future__ import annotations
 
 import inspect
-import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,12 +181,13 @@ def build_catalog_metric(key, n, **params):
 def _param_ok(value, default):
     """Whether a config value fits a builder parameter; the default's type
     says which: int defaults (seeds) take non-negative integers, float
-    defaults any finite number.  JSON booleans are never numbers."""
+    defaults any finite number (compared, not converted, so a huge JSON
+    integer cannot overflow).  JSON booleans are never numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     if isinstance(default, int):
         return isinstance(value, int) and value >= 0
-    return math.isfinite(value)
+    return abs(value) <= sys.float_info.max
 
 
 def default_metrics(n=3, seed=0):

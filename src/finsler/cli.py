@@ -130,8 +130,9 @@ def _tolerances(cfg):
     if not isinstance(tols, dict):
         raise ConfigError("'tolerances' must be an object")
     for key, val in tols.items():
-        # json parses Infinity, which would pass every identity
-        if not (_is_number(val) and math.isfinite(val) and val > 0):
+        # json parses Infinity, which would pass every identity; a huge
+        # JSON integer is compared, not converted, so it cannot overflow
+        if not (_is_number(val) and 0 < val <= sys.float_info.max):
             raise ConfigError(
                 f"tolerance {key!r} must be a positive finite number")
     return tols

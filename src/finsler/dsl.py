@@ -11,8 +11,9 @@ Grammar (conventional infix, whitespace-insensitive)::
 Names: ``x1..xn`` / ``y1..yn`` (coordinate components), the vector
 symbols ``x`` / ``y`` (only as arguments of ``dot``/``norm2``), the
 built-ins ``sqrt(u)``, ``dot(u, v)``, ``norm2(u)``, and named constants
-bound from the run configuration.  Evaluation is generic over floats and
-jet scalars.  All reported positions are 1-based line:column.
+bound from the run configuration.  Evaluation is generic over floats,
+arrays (elementwise) and jet scalars.  All reported positions are 1-based
+line:column.
 """
 
 from __future__ import annotations
@@ -324,101 +325,95 @@ def _free_constants(node):
 
 def _near_zero(v):
     c = v.c[0] if isinstance(v, jets.Jet) else v
-    return bool(np.all(np.abs(np.asarray(c)) < 1e-300))
+    return bool(np.any(np.abs(c) < 1e-300))
+
+
+def _dot(u, v):
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def _fail(message, node):
+    raise EvalDomainError(message, subexpression=ast_to_source(node))
+
+
+def _named(node, op):
+    """op(), with an EvalDomainError of jet arithmetic named by node."""
+    try:
+        return op()
+    except EvalDomainError as e:
+        _fail(str(e), node)
+
+
+def _ev(node, x, y, consts):
+    # a module-level walk: a nested recursive closure would be a reference
+    # cycle holding x and y until the cyclic garbage collector runs
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Const):
+        return float(consts[node.name])
+    if isinstance(node, Var):
+        return (x if node.group == "x" else y)[node.index]
+    if isinstance(node, Unary):
+        return -_ev(node.arg, x, y, consts)
+    if isinstance(node, Binary):
+        a = _ev(node.left, x, y, consts)
+        b = _ev(node.right, x, y, consts)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if _near_zero(b):
+                _fail("division by zero", node)
+            return a / b
+        # '^'
+        if isinstance(a, jets.Jet):
+            return _named(node, lambda: a ** b if np.isscalar(b)
+                          else jets.jpow(a, b))
+        if np.any((np.asarray(a) < 0) & (np.floor(b) != b)):
+            _fail("fractional power of a negative value", node)
+        if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
+            _fail("division by zero", node)
+        return np.power(a, b)
+    if isinstance(node, Call):
+        if node.func == "sqrt":
+            arg = _ev(node.args[0], x, y, consts)
+            if not isinstance(arg, jets.Jet) and np.any(np.asarray(arg) < 0):
+                _fail("sqrt of a negative value", node)
+            return _named(node, lambda: jets.sqrt(arg))
+        vecs = {"x": x, "y": y}
+        if node.func == "dot":
+            return _dot(vecs[node.args[0].group], vecs[node.args[1].group])
+        if node.func == "norm2":
+            u = vecs[node.args[0].group]
+            return _dot(u, u)
+    raise EvalDomainError(f"cannot evaluate node {node!r}")
 
 
 def eval_ast(ast: MetricAst, x, y, constants: dict = None):
     """Evaluate over generic scalars; x and y are length-n sequences of
-    floats or jet numbers."""
+    floats, of arrays of one batch shape (evaluated elementwise), or of
+    jet numbers.  Every domain check is elementwise: if any row leaves
+    the domain, EvalDomainError names the subexpression and no row of it
+    is evaluated."""
     consts = constants or {}
     missing = [c for c in ast.constants if c not in consts]
     if missing:
         raise UnknownIdentifier(
             f"unbound constant(s): {', '.join(missing)}")
-
-    def dot(u, v):
-        acc = u[0] * v[0]
-        for a, b in zip(u[1:], v[1:]):
-            acc = acc + a * b
-        return acc
-
-    def ev(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Const):
-            return float(consts[node.name])
-        if isinstance(node, Var):
-            return (x if node.group == "x" else y)[node.index]
-        if isinstance(node, Unary):
-            return -ev(node.arg)
-        if isinstance(node, Binary):
-            a = ev(node.left)
-            b = ev(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if _near_zero(b):
-                    raise EvalDomainError(
-                        "division by zero",
-                        subexpression=ast_to_source(node))
-                try:
-                    return a / b
-                except EvalDomainError as e:
-                    if e.subexpression:
-                        raise
-                    raise EvalDomainError(
-                        str(e), subexpression=ast_to_source(node))
-            # '^'
-            try:
-                if isinstance(a, jets.Jet):
-                    return a ** b if np.isscalar(b) else jets.jpow(a, b)
-                out = float(a) ** b
-                if isinstance(out, complex):
-                    raise EvalDomainError(
-                        "fractional power of a negative value",
-                        subexpression=ast_to_source(node))
-                return out
-            except EvalDomainError as e:
-                if e.subexpression:
-                    raise
-                raise EvalDomainError(str(e),
-                                      subexpression=ast_to_source(node))
-        if isinstance(node, Call):
-            if node.func == "sqrt":
-                arg = ev(node.args[0])
-                try:
-                    if not isinstance(arg, jets.Jet) and arg < 0:
-                        raise EvalDomainError("sqrt of a negative value")
-                    return jets.sqrt(arg)
-                except EvalDomainError as e:
-                    if e.subexpression:
-                        raise
-                    raise EvalDomainError(
-                        str(e), subexpression=ast_to_source(node))
-                except ValueError:
-                    raise EvalDomainError(
-                        "sqrt of a negative value",
-                        subexpression=ast_to_source(node))
-            vecs = {"x": x, "y": y}
-            if node.func == "dot":
-                return dot(vecs[node.args[0].group], vecs[node.args[1].group])
-            if node.func == "norm2":
-                u = vecs[node.args[0].group]
-                return dot(u, u)
-        raise EvalDomainError(f"cannot evaluate node {node!r}")
-
-    val = ev(ast.root)
+    # overflow gives inf, as in float arithmetic; the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = _ev(ast.root, x, y, consts)
     if isinstance(val, jets.Jet):
         return val
-    val = float(val)
-    if not np.isfinite(val):
-        raise EvalDomainError("non-finite result",
-                              subexpression=ast_to_source(ast.root))
-    return val
+    if not np.all(np.isfinite(val)):
+        _fail("non-finite result", ast.root)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Finite-difference pipeline: an independent re-computation of the
 metric, spray, connection, torsion, deviation, and scalar curvature
-using only float evaluations of L and central-difference stencils (one
+using only array evaluations of L and central-difference stencils (one
 Richardson extrapolation level).
 
 This backend shares no differentiation code with the jet engine, which
@@ -10,7 +10,10 @@ deeper members of the derivative ladder amplify FD noise beyond any
 useful tolerance and are only available on the jet backend.
 
 Every derivative is :func:`_d1` or :func:`_d2` of a float- or
-array-valued f(x, y), with the derivative axes after f's own.
+array-valued f(x, y) of a batch of points (..., n), with the batch axes
+first and the derivative axes after f's own.  A stencil evaluates f once
+on all its points, as one more batch axis, so nested stencils call L once
+per innermost stencil.
 """
 
 from __future__ import annotations
@@ -27,71 +30,104 @@ def _richardson(stencil, h):
 
 
 def _base_h(x, y):
-    """Step of the metric-level stencils at (x, y)."""
-    return 1e-3 * (1.0 + float(np.max(np.abs(np.concatenate([x, y])))))
+    """Step of the metric-level stencils at each point (x, y)."""
+    z = np.concatenate([x, y], axis=-1)
+    return 1e-3 * (1.0 + np.max(np.abs(z), axis=-1))
+
+
+def _trail(h, k):
+    """The step h (a scalar, or one per batch point) with k unit axes
+    appended, so it broadcasts over the axes after the batch."""
+    h = np.asarray(h)
+    return h.reshape(h.shape + (1,) * k)
+
+
+def _at(f, x, y, h, S):
+    """f at the stencil points (x, y) + h S[r], one row r of the sign
+    table S (m, 2n) each, in one call; returned as [..., r] after f's own
+    axes.  A half of (x, y) that S does not shift is a broadcast view."""
+    n = x.shape[-1]
+    hs = _trail(h, 2)
+
+    def shifted(u, s):
+        u = u[..., None, :]
+        # where, not u + 0 * h, keeps unshifted components exact (-0.0)
+        return np.where(s != 0, u + s * hs, u) if s.any() else u
+
+    X, Y = np.broadcast_arrays(shifted(x, S[:, :n]), shifted(y, S[:, n:]))
+    return np.moveaxis(np.asarray(f(X, Y)), x.ndim - 1, -1)
 
 
 def _d1(f, x, y, var, h):
     """(f(+h) - f(-h)) / 2h in each component q of var ("x" or "y"),
     as [..., q]."""
-    n = len(x)
-    z = np.concatenate([x, y])
-    out = []
-    for q in range(n) if var == "x" else range(n, 2 * n):
-        zp, zm = z.copy(), z.copy()
-        zp[q] += h
-        zm[q] -= h
-        out.append((f(zp[:n], zp[n:]) - f(zm[:n], zm[n:])) / (2.0 * h))
-    out = np.array(out)  # in C order: matmul and einsum sums follow layout
-    return np.ascontiguousarray(out.transpose(*range(1, out.ndim), 0))
+    n = x.shape[-1]
+    a = 0 if var == "x" else n
+    q = np.arange(n)
+    S = np.zeros((2 * n, 2 * n))
+    S[q, a + q] = 1.0
+    S[n + q, a + q] = -1.0
+    F = _at(f, x, y, h, S)
+    h = _trail(h, F.ndim - x.ndim + 1)
+    # in C order: matmul and einsum sums follow layout
+    return np.ascontiguousarray((F[..., :n] - F[..., n:]) / (2.0 * h))
+
+
+_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 def _d2(f, x, y, va, vb, h):
     """Second partials d2 f / d(va)^i d(vb)^j as [..., i, j]: the
     four-point stencil, or for va == vb the three-point stencil on the
     diagonal and the upper triangle mirrored."""
-    n = len(x)
-    z = np.concatenate([x, y])
+    n = x.shape[-1]
     a = 0 if va == "x" else n
     b = 0 if vb == "x" else n
     sym = va == vb
-    f0 = f(x, y) if sym else None
-    out = None
-    for i in range(n):
-        for j in range(i if sym else 0, n):
-            if sym and i == j:
-                zp, zm = z.copy(), z.copy()
-                zp[a + i] += h
-                zm[a + i] -= h
-                val = (f(zp[:n], zp[n:]) - 2.0 * f0
-                       + f(zm[:n], zm[n:])) / (h * h)
-            else:
-                val = 0.0
-                for si in (1.0, -1.0):
-                    for sj in (1.0, -1.0):
-                        zz = z.copy()
-                        zz[a + i] += si * h
-                        zz[b + j] += sj * h
-                        val += si * sj * f(zz[:n], zz[n:])
-                val = val / (4.0 * h * h)
-            if out is None:
-                out = np.empty(np.shape(val) + (n, n))
-            out[..., i, j] = val
-            if sym:
-                out[..., j, i] = val
+    I, J = np.triu_indices(n, 1) if sym else np.indices((n, n)).reshape(2, -1)
+    P, r, q = len(I), np.arange(len(I)), np.arange(n)
+    # rows: the four sign pairs of each (i, j); for va == vb then +h and
+    # -h on the diagonal and the unshifted point
+    S = np.zeros((4 * P + (2 * n + 1 if sym else 0), 2 * n))
+    for c, (si, sj) in enumerate(_SIGNS):
+        S[c * P + r, a + I] = si
+        S[c * P + r, b + J] = sj
+    if sym:
+        S[4 * P + q, a + q] = 1.0
+        S[4 * P + n + q, a + q] = -1.0
+    F = _at(f, x, y, h, S)
+    h = _trail(h, F.ndim - x.ndim + 1)
+    val = 0.0
+    for c, (si, sj) in enumerate(_SIGNS):
+        val = val + si * sj * F[..., c * P:(c + 1) * P]
+    out = np.empty(F.shape[:-1] + (n, n))
+    out[..., I, J] = val / (4.0 * h * h)
+    if sym:
+        out[..., J, I] = out[..., I, J]
+        fp, fm = F[..., 4 * P:4 * P + n], F[..., 4 * P + n:4 * P + 2 * n]
+        out[..., q, q] = (fp - 2.0 * F[..., -1:] + fm) / (h * h)
     return out
+
+
+def _deviation(y, Rhat, L):
+    """H^i_j = y^k Rhat^i_kj and k = tr H / ((n-1) L^2)."""
+    H = np.einsum("...k,...ikj->...ij", y, Rhat)
+    return H, np.trace(H, axis1=-2, axis2=-1) / ((y.shape[-1] - 1) * L * L)
 
 
 class FDPipeline:
     """All FD-backend quantities for one metric; evaluation is pointwise
-    through :meth:`tensors` and :meth:`c_form`."""
+    through :meth:`tensors` and :meth:`c_form`.  The other methods take
+    x and y of any batch shape (..., n) and a step h that is a scalar or
+    has the batch's number of axes."""
 
     def __init__(self, metric: FinslerMetric):
         self.metric = metric
 
     def _L(self, x, y):
-        # Python floats: arithmetic on NumPy scalars is slower
-        return float(self.metric.evaluate(x.tolist(), y.tolist()))
+        # one call of L on component arrays of the batch shape
+        return self.metric.evaluate(list(np.moveaxis(x, -1, 0)),
+                                    list(np.moveaxis(y, -1, 0)))
 
     def _E(self, x, y):
         v = self._L(x, y)
@@ -103,21 +139,27 @@ class FDPipeline:
     def spray_at(self, x, y, h):
         g = self.g_at(x, y, h)
         ev = np.linalg.eigvalsh(g)
-        if ev[0] <= 1e-9 * abs(ev[-1]):
+        bad = ev[..., 0] <= 1e-9 * np.abs(ev[..., -1])
+        if np.any(bad):
+            i = tuple(np.argwhere(bad)[0])
             raise DegenerateMetric(
                 f"fundamental tensor not positive definite at "
-                f"x={list(x)}, y={list(y)} (smallest eigenvalue {ev[0]:.3e})",
-                min_eigenvalue=float(ev[0]))
+                f"x={x[i].tolist()}, y={y[i].tolist()} "
+                f"(smallest eigenvalue {ev[i][0]:.3e})",
+                min_eigenvalue=float(ev[i][0]))
         dEx = _richardson(lambda hh: _d1(self._E, x, y, "x", hh), h)
         dExy = _richardson(lambda hh: _d2(self._E, x, y, "x", "y", hh), h)
-        lhs = np.asarray(y) @ dExy - dEx  # sum_k y^k d2E/dx^k dy^j - dE/dx^j
-        return 0.5 * np.linalg.solve(g, lhs)
+        # sum_k y^k d2E/dx^k dy^j - dE/dx^j, as a stacked matmul
+        lhs = (y[..., None, :] @ dExy)[..., 0, :] - dEx
+        return 0.5 * np.linalg.solve(g, lhs[..., None])[..., 0]
 
     def _n_rhat(self, x, y, h):
         """N^i_j = dG^i/dy^j and Rhat^i_jk = delta_k N^i_j - delta_j N^i_k
         from spray evaluations at inner step h."""
+        hs = _trail(h, 1)  # one inner step per stencil point
+
         def G(xx, yy):
-            return self.spray_at(xx, yy, h)
+            return self.spray_at(xx, yy, hs)
 
         N = _richardson(lambda hh: _d1(G, x, y, "y", hh), h)
         # wider outer step: each spray evaluation carries ~1e-9 noise,
@@ -126,36 +168,33 @@ class FDPipeline:
         Gxy = _richardson(lambda hh: _d2(G, x, y, "x", "y", hh), h2)
         Gyy = _richardson(lambda hh: _d2(G, x, y, "y", "y", hh), h2)
         # delta_c N^i_j = d2G^i/dx^c dy^j - N^m_c d2G^i/dy^m dy^j
-        dN = np.einsum("icj->ijc", Gxy) - np.einsum(
-            "mc,ijm->ijc", N, np.einsum("imj->ijm", Gyy))
-        return N, dN - dN.transpose(0, 2, 1)
+        dN = np.einsum("...icj->...ijc", Gxy) - np.einsum(
+            "...mc,...ijm->...ijc", N, np.einsum("...imj->...ijm", Gyy))
+        return N, dN - np.swapaxes(dN, -1, -2)
 
     def tensors(self, p: SamplePoint):
         """Dict of FD-backend values at p: L, g, G, N, Rhat, H, k."""
         self.metric.check_point(p)
         x, y = p.x, p.y
         h = _base_h(x, y)
-        L = self._L(x, y)
+        L = float(self._L(x, y))
         if L <= 0.0:
             raise DomainError(
                 f"L = {L:.6g} <= 0 at x={x.tolist()}, y={y.tolist()}")
         g = self.g_at(x, y, h)
         G = self.spray_at(x, y, h)
         N, Rhat = self._n_rhat(x, y, h)
-        H = np.einsum("k,ikj->ij", y, Rhat)
-        k = float(np.trace(H)) / ((p.n - 1) * L * L)
+        H, k = _deviation(y, Rhat, L)
         return {"L": L, "g": g, "G": G, "N": N, "Rhat": Rhat,
-                "H": H, "k": k}
+                "H": H, "k": float(k)}
 
     def c_form(self, p: SamplePoint):
         """C = L dk/dy by a plain central difference of the scalar
         curvature closure (no Richardson: each evaluation is itself a
-        deep FD pipeline)."""
+        deep FD pipeline), with the 2n k-points in one batch."""
         def k(x, y):
-            L = self._L(x, y)
             Rhat = self._n_rhat(x, y, _base_h(x, y))[1]
-            H = np.einsum("k,ikj->ij", y, Rhat)
-            return float(np.trace(H)) / ((p.n - 1) * L * L)
+            return _deviation(y, Rhat, self._L(x, y))[1]
 
         h = 1e-2 * (1.0 + float(np.max(np.abs(p.y))))
-        return self._L(p.x, p.y) * _d1(k, p.x, p.y, "y", h)
+        return float(self._L(p.x, p.y)) * _d1(k, p.x, p.y, "y", h)

@@ -319,10 +319,6 @@ class Jet:
         axes = (0,) + tuple(p + 1 for p in perm)
         return Jet(self.space, self.c.transpose(axes))
 
-    def sum(self, axis):
-        return Jet(self.space,
-                   self.c.sum(axis=axis + 1 if axis >= 0 else axis))
-
     def trace(self, a, b):
         """Contract two trailing axes of equal extent."""
         c = np.diagonal(self.c, axis1=a + 1, axis2=b + 1).sum(axis=-1)

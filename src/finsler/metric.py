@@ -1,9 +1,11 @@
 """Finsler metric handle: dimension plus a generic evaluator for L(x, y).
 
 The evaluator receives the chart coordinates and direction components as
-lists of generic scalars (floats, numpy arrays, or :class:`~finsler.jets.Jet`
-values) and must be written with the generic math functions from
-``finsler.jets`` so the whole pipeline can differentiate through it.
+lists of generic scalars: floats, :class:`~finsler.jets.Jet` values, or
+numpy arrays of any one batch shape, which it must evaluate elementwise
+(the FD backend passes every point of a stencil in one call).  It must be
+written with the generic math functions from ``finsler.jets`` so the
+whole pipeline can differentiate through it.
 """
 
 from __future__ import annotations

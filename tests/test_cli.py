@@ -202,13 +202,17 @@ class TestConfigValidation:
                     "params": {"seed": -1}}},
         {"metric": {"catalog": "perturbed_riemannian", "dimension": 3,
                     "params": {"eps": "0.3"}}},
+        {"tolerances": {"default": 10 ** 400}},
+        {"metric": {"catalog": "riemannian_space_form", "dimension": 3,
+                    "params": {"kappa": 10 ** 400}}},
     ], ids=["seed-string", "seed-float", "seed-negative", "count-bool",
             "radius-bool", "radius-infinity", "radius-1e308",
             "radius-square-overflow", "radius-huge-int", "tolerance-bool",
             "unknown-param", "tolerance-infinity", "suite-tolerance-infinity",
             "param-kappa-string", "param-kappa-bool", "param-kappa-nan",
             "param-seed-string", "param-seed-bool", "param-seed-float",
-            "param-seed-negative", "param-eps-string"])
+            "param-seed-negative", "param-eps-string", "tolerance-huge-int",
+            "kappa-huge-int"])
     def test_bad_value_config_error(self, tmp_path, capsys, change):
         cfg = {"metric": {"catalog": "funk", "dimension": 3},
                "sampling": {"count": 1, "seed": 0}}

@@ -1,6 +1,7 @@
 """Metric expression language: parsing, evaluation, errors, round-trip."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,52 @@ class TestEvaluation:
         ast = parse_metric("y1 / x1", 3)
         with pytest.raises(EvalDomainError):
             eval_ast(ast, [0.0, 0, 0], [1.0, 0, 0])
+
+    @pytest.mark.parametrize("src", [
+        EUCLID, FUNK,
+        "sqrt(norm2(y)) + b * dot(x, y) / sqrt(1 + b^2 * norm2(x))",
+        "(y1^4 + y2^4 + y3^4)^0.25 - x1^3 * y2 / (2 + x2)",
+        "(1 + y1^2)^(x1 + 0.5) * y2^-2",
+    ])
+    def test_rows_match_scalar_calls(self, src):
+        """Arrays of components are evaluated elementwise: equal, bit for
+        bit, to one float call per row."""
+        ast = parse_metric(src, 3)
+        rng = np.random.Generator(np.random.Philox(3))
+        X = rng.uniform(-0.4, 0.4, size=(4, 5, 3))
+        Y = rng.normal(size=(4, 5, 3))
+        out = eval_ast(ast, list(np.moveaxis(X, -1, 0)),
+                       list(np.moveaxis(Y, -1, 0)), {"b": 0.3})
+        rows = [eval_ast(ast, x.tolist(), y.tolist(), {"b": 0.3})
+                for x, y in zip(X.reshape(-1, 3), Y.reshape(-1, 3))]
+        assert out.shape == (4, 5)
+        assert out.tobytes() == np.array(rows).reshape(4, 5).tobytes()
+
+    @pytest.mark.parametrize("src,bad_y1", [
+        ("sqrt(y1) + y2", -1.0), ("y2 + 1 / y1", 0.0),
+        ("y2 + y1^1.5", -1.0), ("y2 + y1^-1", 0.0),
+    ], ids=["sqrt-negative", "divide-zero", "fractional-power-negative",
+            "negative-power-zero"])
+    def test_bad_row_raises_as_scalar_call(self, src, bad_y1):
+        """One row out of the domain raises the scalar call's error, with
+        the same subexpression, and no RuntimeWarning."""
+        ast = parse_metric(src, 3)
+        Y = np.ones((5, 3))
+        Y[3, 0] = bad_y1
+        with pytest.raises(EvalDomainError) as scalar:
+            eval_ast(ast, [0.0] * 3, Y[3].tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalDomainError) as batch:
+                eval_ast(ast, [np.zeros(5)] * 3, list(Y.T))
+        assert batch.value.subexpression == scalar.value.subexpression
+        assert str(batch.value) == str(scalar.value)
+
+    def test_overflow_is_a_non_finite_result(self):
+        ast = parse_metric("y1 * 1e300 * 1e300 + y2", 3)
+        for y1 in (2.0, np.array([1.0, 2.0])):
+            with pytest.raises(EvalDomainError, match="non-finite"):
+                eval_ast(ast, [0.0] * 3, [y1, 1.0, 1.0])
 
     @pytest.mark.parametrize("src,build", [
         (EUCLID, catalog.euclidean),

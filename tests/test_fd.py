@@ -1,13 +1,16 @@
 """Finite-difference pipeline as an independent cross-check of the jet
 engine."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from finsler import catalog
+from finsler.dsl import metric_from_dsl
 from finsler.engine import ChartJets
+from finsler.errors import DegenerateMetric
 from finsler.fdpipe import FDPipeline, _base_h, _d1, _d2, _richardson
 from finsler.jets import d_x, d_y
 from finsler.metric import SamplePoint
@@ -60,7 +63,7 @@ class TestStencils:
 
     def test_against_closed_form(self):
         def f(x, y):
-            return math.sin(x[0]) * float(y @ y)
+            return np.sin(x[..., 0]) * (y * y).sum(axis=-1)
 
         grad = _richardson(lambda hh: _d1(f, P.x, P.y, "x", hh), 1e-3)
         expected = math.cos(P.x[0]) * float(P.y @ P.y)
@@ -74,7 +77,7 @@ class TestStencils:
 
     def test_zero_field(self):
         def zero(x, y):
-            return 0.0
+            return np.zeros(x.shape[:-1])
 
         h = _base_h(P.x, P.y)
         for arr in (_d1(zero, P.x, P.y, "x", h),
@@ -103,21 +106,133 @@ class TestStencils:
     def test_array_valued_f_stacks_scalar_components(self):
         """An array-valued f gives, bit for bit, its scalar components'
         stencils stacked ahead of the derivative axes."""
-        def f(x, y):
-            return np.array([math.sin(x[0]) * float(y @ y),
-                             math.exp(x[1] - y[2]), float(x @ y) ** 3])
-
         def component(i):
-            return lambda x, y: float(f(x, y)[i])
+            return lambda x, y: _field(x, y)[..., i]
 
         h = _base_h(P.x, P.y)
         for stencil in (lambda g: _d1(g, P.x, P.y, "x", h),
                         lambda g: _d1(g, P.x, P.y, "y", h),
                         lambda g: _d2(g, P.x, P.y, "x", "y", h),
                         lambda g: _d2(g, P.x, P.y, "y", "y", h)):
-            out = stencil(f)
+            out = stencil(_field)
             stacked = np.stack([stencil(component(i)) for i in range(3)])
             assert out.shape == stacked.shape
             assert out.tobytes() == stacked.tobytes()
-        yy = _d2(f, P.x, P.y, "y", "y", h)
+        yy = _d2(_field, P.x, P.y, "y", "y", h)
         assert np.array_equal(yy, yy.transpose(0, 2, 1))
+
+    def test_batch_equals_points(self):
+        """On a (2, 2) batch of points, with one step per point, every
+        stencil equals, bit for bit, its per-point results."""
+        rng = np.random.Generator(np.random.Philox(5))
+        X = rng.uniform(-0.4, 0.4, size=(2, 2, 3))
+        Y = rng.normal(size=(2, 2, 3))
+        h = _base_h(X, Y)
+        for stencil in (lambda x, y, hh: _d1(_field, x, y, "x", hh),
+                        lambda x, y, hh: _d1(_field, x, y, "y", hh),
+                        lambda x, y, hh: _d2(_field, x, y, "x", "y", hh),
+                        lambda x, y, hh: _d2(_field, x, y, "y", "y", hh)):
+            out = stencil(X, Y, h)
+            points = np.array([[stencil(X[a, b], Y[a, b], h[a, b])
+                                for b in range(2)] for a in range(2)])
+            assert out.shape == (2, 2, 3) + points.shape[3:]
+            assert out.tobytes() == points.tobytes()
+
+
+    def test_matches_pointwise_loop(self):
+        """Bit for bit the stencils of a loop that evaluates f at one
+        shifted point at a time (for va == vb, on the upper triangle
+        mirrored)."""
+        h = _base_h(P.x, P.y)
+        for var in ("x", "y"):
+            assert (_d1(_field, P.x, P.y, var, h).tobytes()
+                    == _loop_d1(_field, P.x, P.y, var, h).tobytes())
+        for va, vb in (("x", "y"), ("y", "y"), ("x", "x")):
+            assert (_d2(_field, P.x, P.y, va, vb, h).tobytes()
+                    == _loop_d2(_field, P.x, P.y, va, vb, h).tobytes())
+
+
+def _shift(z, h, *steps):
+    zz = z.copy()
+    for q, s in steps:
+        zz[q] += s * h
+    return zz
+
+
+def _loop_d1(f, x, y, var, h):
+    n = len(x)
+    z = np.concatenate([x, y])
+    out = []
+    for q in range(n) if var == "x" else range(n, 2 * n):
+        zp, zm = _shift(z, h, (q, 1.0)), _shift(z, h, (q, -1.0))
+        out.append((f(zp[:n], zp[n:]) - f(zm[:n], zm[n:])) / (2.0 * h))
+    return np.moveaxis(np.array(out), 0, -1)
+
+
+def _loop_d2(f, x, y, va, vb, h):
+    n = len(x)
+    z = np.concatenate([x, y])
+    a = 0 if va == "x" else n
+    b = 0 if vb == "x" else n
+    sym = va == vb
+    out = np.empty(np.shape(f(x, y)) + (n, n))
+    for i in range(n):
+        for j in range(i if sym else 0, n):
+            if sym and i == j:
+                zp = _shift(z, h, (a + i, 1.0))
+                zm = _shift(z, h, (a + i, -1.0))
+                val = (f(zp[:n], zp[n:]) - 2.0 * f(x, y)
+                       + f(zm[:n], zm[n:])) / (h * h)
+            else:
+                val = 0.0
+                for si in (1.0, -1.0):
+                    for sj in (1.0, -1.0):
+                        zz = _shift(z, h, (a + i, si), (b + j, sj))
+                        val += si * sj * f(zz[:n], zz[n:])
+                val = val / (4.0 * h * h)
+            out[..., i, j] = val
+            if sym:
+                out[..., j, i] = val
+    return out
+
+
+def _field(x, y):
+    """An array-valued test field of batched points, components last;
+    np.power, not **, so that one point and a batch share a ufunc loop."""
+    return np.stack([np.sin(x[..., 0]) * (y * y).sum(axis=-1),
+                     np.exp(x[..., 1] - y[..., 2]),
+                     np.power((x * y).sum(axis=-1), 3)], axis=-1)
+
+
+class TestWork:
+    def test_few_calls_of_L_per_point(self):
+        """Each stencil is one call of L on all its points: one tensors
+        and c_form point on funk makes well under 1,000 calls (about 10^5
+        with one call per stencil point)."""
+        funk = catalog.funk(3)
+        calls = []
+
+        def counted(x, y):
+            calls.append(np.shape(x[0]))
+            return funk.evaluate(x, y)
+
+        fd = FDPipeline(dataclasses.replace(funk, evaluate=counted))
+        fd.tensors(P)
+        fd.c_form(P)
+        assert len(calls) <= 1000
+        assert sum(math.prod(shape) for shape in calls) > 10 ** 5
+
+    def test_degenerate_metric_names_one_point(self):
+        """DegenerateMetric names the first degenerate point of a batch
+        in plain floats."""
+        fd = FDPipeline(metric_from_dsl("sqrt(y1^2 + y2^2)", 3))
+        p = SamplePoint([0.1, 0.2, 0.0], [0.6, 0.8, 0.0])
+        with pytest.raises(DegenerateMetric) as info:
+            fd.tensors(p)
+        assert "x=[0.1, 0.2, 0.0], y=[0.6, 0.8, 0.0]" in str(info.value)
+        X = np.array([p.x, [0.3, 0.3, 0.3]])
+        Y = np.array([p.y, [1.0, 0.5, 0.0]])
+        with pytest.raises(DegenerateMetric) as info:
+            fd.spray_at(X, Y, _base_h(X, Y))
+        assert "x=[0.1, 0.2, 0.0], y=[0.6, 0.8, 0.0]" in str(info.value)
+        assert isinstance(info.value.min_eigenvalue, float)
