@@ -14,22 +14,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .jets import sqrt, sin
+from .jets import dot, sin, sqrt
 from .metric import FinslerMetric
-
-
-def _dot(u, v):
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
 
 
 def euclidean(n):
     """L = |y|; flat, k = 0 everywhere."""
 
     def L(x, y):
-        return sqrt(_dot(y, y))
+        return sqrt(dot(y, y))
 
     return FinslerMetric(n=n, evaluate=L, name="euclidean")
 
@@ -39,8 +32,8 @@ def riemannian_space_form(n, kappa=1.0):
     curvature kappa: a_ij = delta_ij / (1 + (kappa/4)|x|^2)^2."""
 
     def L(x, y):
-        conf = 1.0 + 0.25 * kappa * _dot(x, x)
-        return sqrt(_dot(y, y)) / conf
+        conf = 1.0 + 0.25 * kappa * dot(x, x)
+        return sqrt(dot(y, y)) / conf
 
     if kappa < 0:
         r2max = -4.0 / kappa  # conformal factor must stay positive
@@ -60,9 +53,9 @@ def funk(n):
     """Funk metric on the open unit ball; constant flag curvature -1/4."""
 
     def L(x, y):
-        xx = _dot(x, x)
-        xy = _dot(x, y)
-        yy = _dot(y, y)
+        xx = dot(x, x)
+        xy = dot(x, y)
+        yy = dot(y, y)
         one_m = 1.0 - xx
         return (sqrt(one_m * yy + xy * xy) + xy) / one_m
 
@@ -78,7 +71,7 @@ def randers_pflat(n):
     of scalar (non-constant) curvature."""
 
     def L(x, y):
-        return sqrt(_dot(y, y)) + _dot(x, y)
+        return sqrt(dot(y, y)) + dot(x, y)
 
     def domain(x):
         return float(np.dot(x, x)) < 1.0

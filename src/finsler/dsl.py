@@ -311,9 +311,6 @@ def _free_constants(node):
     if isinstance(node, Const):
         return {node.name}
     out = set()
-    if isinstance(node, Call):
-        for a in node.args:
-            out |= _free_constants(a)
     for child in _children(node):
         out |= _free_constants(child)
     return out
@@ -326,13 +323,6 @@ def _free_constants(node):
 def _near_zero(v):
     c = v.c[0] if isinstance(v, jets.Jet) else v
     return bool(np.any(np.abs(c) < 1e-300))
-
-
-def _dot(u, v):
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
 
 
 def _fail(message, node):
@@ -371,10 +361,11 @@ def _ev(node, x, y, consts):
             if _near_zero(b):
                 _fail("division by zero", node)
             return a / b
-        # '^'
+        # '^'; a varying exponent is exp(b log a)
+        if isinstance(b, jets.Jet):
+            return _named(node, lambda: jets.jpow(a, b))
         if isinstance(a, jets.Jet):
-            return _named(node, lambda: a ** b if np.isscalar(b)
-                          else jets.jpow(a, b))
+            return _named(node, lambda: a ** b)
         if np.any((np.asarray(a) < 0) & (np.floor(b) != b)):
             _fail("fractional power of a negative value", node)
         if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
@@ -388,10 +379,11 @@ def _ev(node, x, y, consts):
             return _named(node, lambda: jets.sqrt(arg))
         vecs = {"x": x, "y": y}
         if node.func == "dot":
-            return _dot(vecs[node.args[0].group], vecs[node.args[1].group])
+            return jets.dot(vecs[node.args[0].group],
+                            vecs[node.args[1].group])
         if node.func == "norm2":
             u = vecs[node.args[0].group]
-            return _dot(u, u)
+            return jets.dot(u, u)
     raise EvalDomainError(f"cannot evaluate node {node!r}")
 
 
@@ -459,27 +451,22 @@ def ast_to_source(node, parent_prec=0) -> str:
 
 
 def metric_from_dsl(source: str, n: int, name: str = "dsl-metric",
-                    constants: dict = None, domain=None,
-                    domain_desc: str = "all of R^n",
-                    check_points=None) -> FinslerMetric:
-    """Build a FinslerMetric from DSL source and verify degree-1
-    homogeneity at a few sample points (HomogeneityError on failure)."""
+                    constants: dict = None) -> FinslerMetric:
+    """Build a FinslerMetric on all of R^n from DSL source and verify
+    degree-1 homogeneity at a few sample points (HomogeneityError on
+    failure)."""
     ast = parse_metric(source, n)
 
     def L(x, y):
         return eval_ast(ast, x, y, constants)
 
-    metric = FinslerMetric(n=n, evaluate=L, name=name, domain=domain,
-                           domain_desc=domain_desc)
-    if check_points is None:
-        rng = np.random.Generator(np.random.Philox(7))
-        check_points = []
-        for _ in range(5):
-            xv = rng.uniform(-0.2, 0.2, size=n)
-            yv = rng.normal(size=n)
-            yv /= np.linalg.norm(yv)
-            sp = SamplePoint(xv, yv)
-            if metric.in_domain(sp.x):
-                check_points.append(sp)
+    metric = FinslerMetric(n=n, evaluate=L, name=name)
+    rng = np.random.Generator(np.random.Philox(7))
+    check_points = []
+    for _ in range(5):
+        xv = rng.uniform(-0.2, 0.2, size=n)
+        yv = rng.normal(size=n)
+        yv /= np.linalg.norm(yv)
+        check_points.append(SamplePoint(xv, yv))
     metric.check_homogeneity(check_points)
     return metric

@@ -182,24 +182,25 @@ class ChartJets:
     def B(self):
         dC = d_y(self.C)               # [arg j, direction c]
         m = dC.tr(1, 0)                # intrinsic slots (X=direction, Y=arg)
-        pm = self._project02(m)
+        pm = self._project(m)
         return self.L * pm
 
     @cached_property
     def A(self):
         dB = d_y(self.B)               # [x, y, direction c]
         m = dB.tr(2, 0, 1)             # intrinsic slots (X=dir, Y, Z)
-        pm = self._project03(m)
+        pm = self._project(m)
         return self.L * pm
 
-    def _project02(self, m):
-        t = jet_einsum("ax,ab->xb", self.phi, m)
-        return jet_einsum("by,xb->xy", self.phi, t)
-
-    def _project03(self, m):
-        t = jet_einsum("ax,abc->xbc", self.phi, m)
-        t = jet_einsum("by,xbc->xyc", self.phi, t)
-        return jet_einsum("cz,xyc->xyz", self.phi, t)
+    def _project(self, m):
+        """phi composed into every slot of m, one einsum per slot; for
+        rank 3: "ax,abc->xbc", then "by,xbc->xyc", then "cz,xyc->xyz"."""
+        src, dst = "abc"[:len(m.shape)], "xyz"[:len(m.shape)]
+        for t in range(len(src)):
+            m_sub = dst[:t] + src[t:]
+            out = dst[:t + 1] + src[t + 1:]
+            m = jet_einsum(f"{src[t]}{dst[t]},{m_sub}->{out}", self.phi, m)
+        return m
 
     @cached_property
     def Ntensor(self):

@@ -137,6 +137,7 @@ class FDPipeline:
         return _richardson(lambda hh: _d2(self._E, x, y, "y", "y", hh), h)
 
     def spray_at(self, x, y, h):
+        """(g, G): the metric tensor and the spray at step h."""
         g = self.g_at(x, y, h)
         ev = np.linalg.eigvalsh(g)
         bad = ev[..., 0] <= 1e-9 * np.abs(ev[..., -1])
@@ -151,7 +152,7 @@ class FDPipeline:
         dExy = _richardson(lambda hh: _d2(self._E, x, y, "x", "y", hh), h)
         # sum_k y^k d2E/dx^k dy^j - dE/dx^j, as a stacked matmul
         lhs = (y[..., None, :] @ dExy)[..., 0, :] - dEx
-        return 0.5 * np.linalg.solve(g, lhs[..., None])[..., 0]
+        return g, 0.5 * np.linalg.solve(g, lhs[..., None])[..., 0]
 
     def _n_rhat(self, x, y, h):
         """N^i_j = dG^i/dy^j and Rhat^i_jk = delta_k N^i_j - delta_j N^i_k
@@ -159,7 +160,7 @@ class FDPipeline:
         hs = _trail(h, 1)  # one inner step per stencil point
 
         def G(xx, yy):
-            return self.spray_at(xx, yy, hs)
+            return self.spray_at(xx, yy, hs)[1]
 
         N = _richardson(lambda hh: _d1(G, x, y, "y", hh), h)
         # wider outer step: each spray evaluation carries ~1e-9 noise,
@@ -181,8 +182,7 @@ class FDPipeline:
         if L <= 0.0:
             raise DomainError(
                 f"L = {L:.6g} <= 0 at x={x.tolist()}, y={y.tolist()}")
-        g = self.g_at(x, y, h)
-        G = self.spray_at(x, y, h)
+        g, G = self.spray_at(x, y, h)
         N, Rhat = self._n_rhat(x, y, h)
         H, k = _deviation(y, Rhat, L)
         return {"L": L, "g": g, "G": G, "N": N, "Rhat": Rhat,

@@ -140,14 +140,6 @@ class JetSpace:
         self.xderiv = [gx.deriv_table(q) for q in range(n)]
         self.yderiv = [gy.deriv_table(q) for q in range(n)]
 
-        xi = {m: i for i, m in enumerate(self.xm)}
-        yi = {m: i for i, m in enumerate(self.ym)}
-        # id of the degree-1 monomial for each variable
-        e = lambda q: tuple(1 if t == q else 0 for t in range(n))
-        self._xvar_id = [xi[e(q)] * NY for q in range(n)] if px >= 1 else None
-        self._yvar_id = [yi[e(q)] for q in range(n)] if py >= 1 else None
-        self._xi = xi
-        self._yi = yi
         # factorial factor per combined monomial, for partial extraction
         self.fact = (gx.factorials()[:, None]
                      * gy.factorials()[None, :]).ravel()
@@ -159,29 +151,26 @@ class JetSpace:
         c[0] = value
         return Jet(self, c)
 
-    def coordinate(self, group, q, value):
-        """Seed jet for chart variable x_q or y_q (group 'x' or 'y')."""
-        c = np.zeros((self.T,))
-        c[0] = float(value)
-        # with a zero-order truncation the coordinate degenerates to its
-        # constant value (no linear term to carry)
-        if group == "x":
-            if self.px >= 1:
-                c[self._xvar_id[q]] = 1.0
-        else:
-            if self.py >= 1:
-                c[self._yvar_id[q]] = 1.0
-        return Jet(self, c)
-
     def seed(self, x, y):
-        """Seed jets for a full sample point; returns (x_jets, y_jets) lists."""
-        xs = [self.coordinate("x", q, x[q]) for q in range(self.n)]
-        ys = [self.coordinate("y", q, y[q]) for q in range(self.n)]
-        return xs, ys
+        """Seed jets for a full sample point; returns (x_jets, y_jets)
+        lists.  In graded order variable q is monomial 1 + q of its
+        group; at a zero-order budget a seed is its constant value."""
+        def variable(value, mono, order):
+            jet = self.constant(value)
+            if order >= 1:
+                jet.c[mono] = 1.0
+            return jet
+
+        return ([variable(x[q], (1 + q) * self.NY, self.px)
+                 for q in range(self.n)],
+                [variable(y[q], 1 + q, self.py) for q in range(self.n)])
 
     def mono_id(self, ax, ay):
         """Combined monomial id for x-exponents ax and y-exponents ay."""
-        return self._xi[tuple(ax)] * self.NY + self._yi[tuple(ay)]
+        gx = _group(self.n, self.px)
+        gy = _group(self.n, self.py)
+        return (int(gx.locate(gx.place @ ax)) * self.NY
+                + int(gy.locate(gy.place @ ay)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,12 +226,8 @@ class Jet:
     def partial(self, xs=(), ys=()):
         """Mixed partial derivative value; xs/ys are variable-index tuples."""
         sp = self.space
-        ax = [0] * sp.n
-        ay = [0] * sp.n
-        for q in xs:
-            ax[q] += 1
-        for q in ys:
-            ay[q] += 1
+        ax = np.bincount(np.asarray(xs, dtype=int), minlength=sp.n)
+        ay = np.bincount(np.asarray(ys, dtype=int), minlength=sp.n)
         if sum(ax) > sp.px or sum(ay) > sp.py:
             raise OrderUnsupported(
                 f"partial of order (x:{sum(ax)}, y:{sum(ay)}) exceeds jet "
@@ -352,120 +337,109 @@ class Jet:
         u0 = np.asarray(self.c[0])
         if np.any(np.abs(u0) < _DIV_EPS):
             raise EvalDomainError("division by (near) zero")
-        w = self * (1.0 / u0)
-        w.c[0] -= 1.0
-        D = self.space.px + self.space.py
-        coeffs = [(-1.0) ** k for k in range(D + 1)]
-        return _series(w, coeffs) * (1.0 / u0)
+        return _taylor(self, lambda k: (-1.0) ** k, 1.0 / u0, rel=True)
 
 
-def _series(w, coeffs):
-    """Horner evaluation of sum_k coeffs[k] w^k for a jet w with zero
-    constant term."""
-    acc = w.space.constant(np.full(w.shape, coeffs[-1]))
-    for ck in reversed(coeffs[:-1]):
-        acc = acc * w + ck
-    return acc
-
-
-def _frac_series(u, coeffs, head):
-    """head * sum_k coeffs[k] (u/u0 - 1)^k; shared by sqrt/pow/log."""
+def _taylor(u, coeffs, head, rel):
+    """head * sum_k coeffs(k) w^k by Horner, up to the total order of the
+    jet u, where u0 is the constant term of u and w = u/u0 - 1 (rel: u is
+    u0 (1 + w)) or w = u - u0 (u is u0 + w)."""
     u0 = np.asarray(u.c[0])
-    w = u * (1.0 / u0)
-    w.c[0] -= 1.0
-    return _series(w, coeffs) * head
+    if rel:
+        w = u * (1.0 / u0)
+        w.c[0] -= 1.0
+    else:
+        w = u - u0
+    cs = [coeffs(k) for k in range(u.space.px + u.space.py + 1)]
+    acc = w.space.constant(np.full(w.shape, cs[-1]))
+    for ck in reversed(cs[:-1]):
+        acc = acc * w + ck
+    return acc * head
 
 
-def jsqrt(u):
+def _binomial(p, k):
+    """The k-th Taylor coefficient of (1 + w)^p, as a running product."""
+    c = 1.0
+    for j in range(1, k + 1):
+        c = c * (p - j + 1) / j
+    return c
+
+
+# Taylor coefficients of cos(w) and sin(w)
+def _cos_coeff(k):
+    return (1.0, 0.0, -1.0, 0.0)[k % 4] / math.factorial(k)
+
+
+def _sin_coeff(k):
+    return (0.0, 1.0, 0.0, -1.0)[k % 4] / math.factorial(k)
+
+
+# generic math functions for metric evaluators: each takes a float, an
+# array (elementwise) or a jet
+def sqrt(u):
     if not isinstance(u, Jet):
         return np.sqrt(u)
     u0 = np.asarray(u.c[0])
     if np.any(u0 <= 0.0):
         raise EvalDomainError("sqrt of a non-positive value")
-    D = u.space.px + u.space.py
-    coeffs = [1.0]
-    for k in range(1, D + 1):
-        coeffs.append(coeffs[-1] * (0.5 - k + 1) / k)
-    return _frac_series(u, coeffs, np.sqrt(u0))
+    return _taylor(u, lambda k: _binomial(0.5, k), np.sqrt(u0), rel=True)
 
 
 def jpow(u, p):
-    if not isinstance(u, Jet):
-        return u ** p
-    u0 = np.asarray(u.c[0])
+    """u^p for a jet u and a non-integer power p, or for a jet exponent p
+    (as exp(p log u))."""
+    u0 = np.asarray(u.c[0] if isinstance(u, Jet) else u)
     if np.any(u0 <= 0.0):
         raise EvalDomainError("non-integer power of a non-positive value")
-    D = u.space.px + u.space.py
-    coeffs = [1.0]
-    for k in range(1, D + 1):
-        coeffs.append(coeffs[-1] * (p - k + 1) / k)
-    return _frac_series(u, coeffs, u0 ** p)
+    if isinstance(p, Jet):
+        return exp(p * log(u))
+    return _taylor(u, lambda k: _binomial(p, k), u0 ** p, rel=True)
 
 
-def jexp(u):
+def exp(u):
     if not isinstance(u, Jet):
         return np.exp(u)
     u0 = np.asarray(u.c[0])
-    w = u - u0
-    D = u.space.px + u.space.py
-    coeffs = [1.0 / math.factorial(k) for k in range(D + 1)]
-    return _series(w, coeffs) * np.exp(u0)
+    return _taylor(u, lambda k: 1.0 / math.factorial(k), np.exp(u0),
+                   rel=False)
 
 
-def jlog(u):
+def log(u):
     if not isinstance(u, Jet):
         return np.log(u)
     u0 = np.asarray(u.c[0])
     if np.any(u0 <= 0.0):
         raise EvalDomainError("log of a non-positive value")
-    D = u.space.px + u.space.py
-    coeffs = [0.0] + [(-1.0) ** (k + 1) / k for k in range(1, D + 1)]
-    res = _frac_series(u, coeffs, 1.0)
+    res = _taylor(u, lambda k: (-1.0) ** (k + 1) / k if k else 0.0, 1.0,
+                  rel=True)
     res.c[0] += np.log(u0)
     return res
 
 
-def _sincos(u):
-    u0 = np.asarray(u.c[0])
-    w = u - u0
-    D = u.space.px + u.space.py
-    cosc = [0.0] * (D + 1)
-    sinc = [0.0] * (D + 1)
-    for k in range(D + 1):
-        f = 1.0 / math.factorial(k)
-        if k % 4 == 0:
-            cosc[k] = f
-        elif k % 4 == 1:
-            sinc[k] = f
-        elif k % 4 == 2:
-            cosc[k] = -f
-        else:
-            sinc[k] = -f
-    cw = _series(w, cosc)
-    sw = _series(w, sinc)
-    s = cw * np.sin(u0) + sw * np.cos(u0)
-    c = cw * np.cos(u0) - sw * np.sin(u0)
-    return s, c
-
-
-def jsin(u):
+def sin(u):
     if not isinstance(u, Jet):
         return np.sin(u)
-    return _sincos(u)[0]
+    u0 = np.asarray(u.c[0])
+    # sin(u0 + w) = sin(u0) cos(w) + cos(u0) sin(w)
+    return (_taylor(u, _cos_coeff, np.sin(u0), rel=False)
+            + _taylor(u, _sin_coeff, np.cos(u0), rel=False))
 
 
-def jcos(u):
+def cos(u):
     if not isinstance(u, Jet):
         return np.cos(u)
-    return _sincos(u)[1]
+    u0 = np.asarray(u.c[0])
+    # cos(u0 + w) = cos(u0) cos(w) - sin(u0) sin(w)
+    return (_taylor(u, _cos_coeff, np.cos(u0), rel=False)
+            - _taylor(u, _sin_coeff, np.sin(u0), rel=False))
 
 
-# generic names for metric evaluators, usable on floats, arrays and jets
-sqrt = jsqrt
-exp = jexp
-log = jlog
-sin = jsin
-cos = jcos
+def dot(u, v):
+    """sum_i u[i] v[i] over two sequences of generic scalars."""
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
 
 
 def jstack(jets):

@@ -20,18 +20,20 @@ import numpy as np
 from .errors import DomainError, EvalDomainError
 from .metric import FinslerMetric, SamplePoint
 
+_RADIUS = 0.4  # of the ball the base points are drawn from
+
 
 @dataclass(frozen=True)
 class SamplingSpec:
     count: int = 30
     seed: int = 0
-    radius: Optional[float] = None  # None: use the metric's default
+    radius: Optional[float] = None  # None: _RADIUS
 
 
 def sample_points(metric: FinslerMetric, spec: SamplingSpec):
     """Draw ``spec.count`` valid sample points for ``metric``."""
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    radius = spec.radius if spec.radius is not None else metric.sample_radius
+    radius = spec.radius if spec.radius is not None else _RADIUS
     n = metric.n
     points = []
     attempts = 0

@@ -12,7 +12,7 @@ bug and raises InternalInconsistency rather than producing a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ FD_TOL = 1e-3
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    metric_name: str
+    metric: str
     verdict: str  # 'generic' | 'scalar' | 'constant' (at sampled points)
     backend: str
     seed: int
@@ -41,23 +41,11 @@ class ClassificationReport:
     residuals: dict = field(default_factory=dict)  # name -> {value, tolerance}
 
     def to_json_dict(self):
-        return {
-            "metric": self.metric_name,
-            "verdict": self.verdict,
-            "backend": self.backend,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "tolerance": self.tolerance,
-            "k_mean": self.k_mean,
-            "k_std": self.k_std,
-            "k_samples": self.k_samples,
-            "residuals": self.residuals,
-        }
+        return asdict(self)
 
 
 def classify(metric: FinslerMetric, spec: SamplingSpec = None,
-             backend: str = "jet",
-             tolerance: float = None) -> ClassificationReport:
+             backend: str = "jet") -> ClassificationReport:
     """Sample the metric and decide generic / scalar / constant."""
     if metric.n < 3:
         raise DimensionTooSmall(
@@ -65,8 +53,7 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
     if backend not in ("jet", "fd"):
         raise ConfigError(f"unknown backend {backend!r}")
     spec = spec or SamplingSpec()
-    tol = tolerance if tolerance is not None else (
-        JET_TOL if backend == "jet" else FD_TOL)
+    tol = JET_TOL if backend == "jet" else FD_TOL
     points = sample_points(metric, spec)
 
     iso = []
@@ -137,7 +124,7 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
     k_samples = [{"x": p.x.tolist(), "y": p.y.tolist(), "k": k}
                  for p, k in zip(points, ks)]
     return ClassificationReport(
-        metric_name=metric.name,
+        metric=metric.name,
         verdict=verdict,
         backend=backend,
         seed=spec.seed,

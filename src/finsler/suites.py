@@ -85,12 +85,11 @@ def suite_lemma22(cj: ChartJets):
     C = cj.C.value()
     phi = cj.phi.value()
     D2C = _d2(cj, cj.C)  # [direction X, argument Y]
-    scale = max(1.0, _mx(C))
     return {
-        "C_kills_direction": _mx(C @ y) / scale,
+        "C_kills_direction": _rel(C @ y, C),
         "C_is_indicatory": _rel(phi.T @ C - C, C),
-        "fiber_C_direction_first": _mx(y @ D2C) / scale,
-        "fiber_C_direction_second": _mx(D2C @ y + C) / scale,
+        "fiber_C_direction_first": _rel(y @ D2C, C),
+        "fiber_C_direction_second": _rel(D2C @ y + C, C),
     }
 
 
@@ -104,18 +103,17 @@ def suite_lemma23(cj: ChartJets):
     phi = cj.phi.value()
     D2C = _d2(cj, cj.C)
     D2B = _d2(cj, cj.B)  # [X=direction, Y, Z]
-    scale = max(1.0, _mx(B), _mx(C))
     return {
-        "B_kills_direction": _mx(B @ y) / scale,
+        "B_kills_direction": _rel(B @ y, B, C),
         "B_is_indicatory": _rel(phi.T @ B @ phi - B, B),
-        "fiber_B_direction_first": _mx(np.einsum("x,xyz->yz", y, D2B))
-        / scale,
-        "B_from_C": _mx(B - (L * D2C + np.outer(C, ell))) / scale,
-        "B_symmetric": _mx(B - B.T) / scale,
-        "fiber_B_direction_mid": _mx(
-            np.einsum("xyz,y->xz", D2B, y) + B) / scale,
-        "fiber_B_direction_last": _mx(
-            np.einsum("xyz,z->xy", D2B, y) + B) / scale,
+        "fiber_B_direction_first": _rel(np.einsum("x,xyz->yz", y, D2B),
+                                        B, C),
+        "B_from_C": _rel(B - (L * D2C + np.outer(C, ell)), B, C),
+        "B_symmetric": _rel(B - B.T, B, C),
+        "fiber_B_direction_mid": _rel(
+            np.einsum("xyz,y->xz", D2B, y) + B, B, C),
+        "fiber_B_direction_last": _rel(
+            np.einsum("xyz,z->xy", D2B, y) + B, B, C),
     }
 
 
@@ -236,10 +234,9 @@ def suite_lemma31(cj: ChartJets):
     expansion = (L * D2B + np.einsum("z,xy->xyz", ell, B)
                  + np.einsum("y,xz->xyz", ell, B))
     M = A + np.einsum("x,yz->xyz", C, hbar)
-    scale = max(1.0, _mx(A), _mx(B))
     return {
-        "A_from_B": _mx(A - expansion) / scale,
-        "constancy_obstruction": _mx(M - M.transpose(1, 0, 2)) / scale,
+        "A_from_B": _rel(A - expansion, A, B),
+        "constancy_obstruction": _rel(M - M.transpose(1, 0, 2), A, B),
     }
 
 
@@ -252,7 +249,6 @@ def suite_bianchi(cj: ChartJets):
     Rhat = cj.Rhat.value()
     H = cj.H.value()
     R = cj.R.value()
-    scale = max(1.0, _mx(Rhat))
 
     dH = d_y(cj.H).value()  # [i, j, c]
     D2H = dH.transpose(0, 2, 1)  # direction first
@@ -263,12 +259,12 @@ def suite_bianchi(cj: ChartJets):
     cyc = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
 
     return {
-        "torsion_antisymmetry": _mx(Rhat + Rhat.transpose(0, 2, 1)) / scale,
-        "deviation_kills_direction": _mx(H @ y) / scale,
-        "torsion_from_deviation": _mx(rec - Rhat) / scale,
-        "curvature_contracts_to_torsion": _mx(
-            np.einsum("ixyz,z->ixy", R, y) - Rhat) / scale,
-        "cyclic_identity": _mx(cyc) / max(1.0, _mx(hR)),
+        "torsion_antisymmetry": _rel(Rhat + Rhat.transpose(0, 2, 1), Rhat),
+        "deviation_kills_direction": _rel(H @ y, Rhat),
+        "torsion_from_deviation": _rel(rec - Rhat, Rhat),
+        "curvature_contracts_to_torsion": _rel(
+            np.einsum("ixyz,z->ixy", R, y) - Rhat, Rhat),
+        "cyclic_identity": _rel(cyc, hR),
     }
 
 

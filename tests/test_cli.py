@@ -61,6 +61,23 @@ class TestTensors:
         assert main(["tensors", "--config", cfg]) == 3
         assert "homogeneous" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dsl,message", [
+        ("2", "not positively homogeneous"),
+        ("0", "could not draw 1 valid sample points"),
+    ], ids=["constant-L", "zero-L"])
+    def test_dsl_without_variables_exit3(self, tmp_path, capsys, dsl,
+                                         message):
+        """A constant L is caught as a typed error: 2 is not homogeneous,
+        0 is homogeneous but has no point with L > 0."""
+        cfg = write_config(tmp_path, "c.json", {
+            "metric": {"dsl": dsl, "dimension": 3},
+            "sampling": {"count": 1},
+        })
+        assert main(["classify", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 class TestVerify:
     def test_funk_passes(self, tmp_path, funk_cfg):

@@ -10,6 +10,8 @@ from finsler import catalog
 from finsler.dsl import (ast_to_source, eval_ast, metric_from_dsl,
                          parse_metric)
 from finsler.engine import chart
+from finsler.fdpipe import FDPipeline
+from finsler.jets import get_space
 from finsler.errors import (ArityError, DomainError, DslSyntaxError,
                             EvalDomainError, HomogeneityError,
                             IndexOutOfRange, UnknownIdentifier)
@@ -184,6 +186,48 @@ class TestEvaluation:
             native = metric.L(p)
             parsed = eval_ast(ast, list(p.x), list(p.y))
             assert parsed == pytest.approx(native, rel=1e-12)
+
+
+class TestVaryingExponent:
+    """A base raised to a power that depends on x or y: exp(b log a) on
+    jets, np.power on floats and arrays."""
+
+    def test_value(self):
+        ast = parse_metric("sqrt(norm2(y)) * 2^x1", 3)
+        x, y = [0.5, 0.0, 0.0], [3.0, 4.0, 0.0]
+        assert eval_ast(ast, x, y) == pytest.approx(5.0 * 2.0 ** 0.5)
+        xs, ys = get_space(3, 1, 1).seed(x, y)
+        assert eval_ast(ast, xs, ys).value() == pytest.approx(
+            5.0 * 2.0 ** 0.5, rel=1e-14)
+
+    def test_x_partial(self):
+        """d/dx1 of |y| 2^x1 is log 2 times L."""
+        ast = parse_metric("sqrt(norm2(y)) * 2^x1", 3)
+        xs, ys = get_space(3, 1, 1).seed([0.3, -0.1, 0.2], [0.7, -0.3, 1.1])
+        L = eval_ast(ast, xs, ys)
+        assert L.partial(xs=(0,)) == pytest.approx(np.log(2.0) * L.value(),
+                                                   rel=1e-14)
+
+    @pytest.mark.parametrize("src", [
+        "sqrt(norm2(y)) * 2^x1", "sqrt(norm2(y)) * (1 + x1^2)^x2",
+    ])
+    def test_jet_k_matches_fd_k(self, src):
+        metric = metric_from_dsl(src, 3)
+        fd = FDPipeline(metric)
+        for p in sample_points(metric, SamplingSpec(count=3, seed=5)):
+            k_jet = chart(metric, p, "k").k.value()
+            assert fd.tensors(p)["k"] == pytest.approx(k_jet, abs=1e-4)
+
+    @pytest.mark.parametrize("src,x1,sub", [
+        ("(-2)^x1 * sqrt(norm2(y))", 0.0, "(-2)^x1"),
+        ("(x1 - 1)^x2 * sqrt(norm2(y))", 0.0, "(x1 - 1)^x2"),
+    ], ids=["negative-constant-base", "negative-jet-base"])
+    def test_negative_base(self, src, x1, sub):
+        ast = parse_metric(src, 3)
+        xs, ys = get_space(3, 1, 1).seed([x1, 0.2, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(EvalDomainError) as info:
+            eval_ast(ast, xs, ys)
+        assert info.value.subexpression == sub
 
 
 class TestMetricConstruction:

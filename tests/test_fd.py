@@ -222,6 +222,19 @@ class TestWork:
         assert len(calls) <= 1000
         assert sum(math.prod(shape) for shape in calls) > 10 ** 5
 
+    def test_tensors_calls_of_L(self):
+        """tensors alone makes at most 43 calls of L: g comes with the
+        spray, not from a second metric-tensor stencil."""
+        funk = catalog.funk(3)
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return funk.evaluate(x, y)
+
+        FDPipeline(dataclasses.replace(funk, evaluate=counted)).tensors(P)
+        assert len(calls) <= 43
+
     def test_degenerate_metric_names_one_point(self):
         """DegenerateMetric names the first degenerate point of a batch
         in plain floats."""

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from finsler import catalog
 from finsler.engine import ChartJets
 from finsler.errors import EvalDomainError, OrderUnsupported
-from finsler.jets import (Jet, d_x, d_y, get_space, jcos, jet_einsum,
-                          jet_matrix_inverse, jexp, jlog, jsin, jsqrt,
-                          jstack, restrict)
+from finsler.jets import (Jet, cos, d_x, d_y, exp, get_space, jet_einsum,
+                          jet_matrix_inverse, jstack, log, restrict, sin,
+                          sqrt)
 from finsler.metric import SamplePoint
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
@@ -46,7 +46,7 @@ class TestBasics:
 
     def test_schwarz_symmetry(self):
         xs, ys = seed()
-        f = jsqrt(ys[0] * ys[0] + ys[1] * ys[1]) * jexp(xs[0] * ys[1])
+        f = sqrt(ys[0] * ys[0] + ys[1] * ys[1]) * exp(xs[0] * ys[1])
         a = f.partial(xs=(0,), ys=(0, 1))
         b = f.partial(xs=(0,), ys=(1, 0))
         assert a == b  # identical storage: exact equality
@@ -101,7 +101,7 @@ class TestPartials:
     def test_euler_degree_one(self):
         p = SamplePoint([0.0, 0.0, 0.0], [1.0, 2.0, 2.0])
         xs, ys = get_space(3, 0, 1).seed(p.x, p.y)
-        f = jsqrt(norm2(ys))
+        f = sqrt(norm2(ys))
         assert float(p.y @ d_y(f).value()) == pytest.approx(3.0)
         assert f.value() == pytest.approx(3.0)
 
@@ -111,7 +111,7 @@ class TestPartials:
             d_y(d_y(norm2(ys)))
 
     def test_schwarz(self):
-        arr = partials(lambda x, y: jexp(x[0] * y[2]) * y[1], P, 2, 2)
+        arr = partials(lambda x, y: exp(x[0] * y[2]) * y[1], P, 2, 2)
         np.testing.assert_allclose(arr, arr.transpose(1, 0, 2, 3),
                                    atol=1e-12)
         np.testing.assert_allclose(arr, arr.transpose(0, 1, 3, 2),
@@ -149,23 +149,23 @@ class TestAnalytic:
         return ys[0]
 
     def test_sqrt(self):
-        f = jsqrt(self._y())
+        f = sqrt(self._y())
         assert f.partial(ys=(0,)) == pytest.approx(0.5 / math.sqrt(self.y0))
         assert f.partial(ys=(0, 0)) == pytest.approx(
             -0.25 * self.y0 ** -1.5)
 
     def test_exp_log(self):
-        f = jexp(self._y())
+        f = exp(self._y())
         for order in range(4):
             assert f.partial(ys=(0,) * order) == pytest.approx(
                 math.exp(self.y0))
-        g = jlog(self._y())
+        g = log(self._y())
         assert g.value() == pytest.approx(math.log(self.y0))
         assert g.partial(ys=(0,)) == pytest.approx(1.0 / self.y0)
         assert g.partial(ys=(0, 0)) == pytest.approx(-self.y0 ** -2)
 
     def test_sin_cos(self):
-        s, c = jsin(self._y()), jcos(self._y())
+        s, c = sin(self._y()), cos(self._y())
         assert s.partial(ys=(0,)) == pytest.approx(math.cos(self.y0))
         assert c.partial(ys=(0,)) == pytest.approx(-math.sin(self.y0))
         ident = s * s + c * c
@@ -175,7 +175,7 @@ class TestAnalytic:
     def test_sqrt_domain(self):
         xs, ys = seed()
         with pytest.raises(EvalDomainError):
-            jsqrt(ys[0] - 5.0)
+            sqrt(ys[0] - 5.0)
 
 
 class TestTensorStructure:
@@ -190,9 +190,9 @@ class TestTensorStructure:
     def test_einsum_matches_manual(self):
         xs, ys = seed()
         a = jstack([ys[0] * ys[1], xs[0] + ys[0]])
-        b = jstack([jexp(xs[0]), ys[1] * 2.0])
+        b = jstack([exp(xs[0]), ys[1] * 2.0])
         dot = jet_einsum("i,i->", a, b)
-        manual = ys[0] * ys[1] * jexp(xs[0]) + (xs[0] + ys[0]) * ys[1] * 2.0
+        manual = ys[0] * ys[1] * exp(xs[0]) + (xs[0] + ys[0]) * ys[1] * 2.0
         np.testing.assert_allclose(dot.c, manual.c, atol=1e-13)
 
     def test_matrix_inverse(self):
@@ -301,7 +301,7 @@ class TestTruncation:
         u = a + 2.0                              # positive constant term
         mat = m * 0.2 + 3.0 * np.eye(3)          # well-conditioned
         r = lambda j: restrict(j, *budget)
-        for op, arg in ((Jet.reciprocal, u), (jsqrt, u),
+        for op, arg in ((Jet.reciprocal, u), (sqrt, u),
                         (jet_matrix_inverse, mat)):
             full, low = r(op(arg)), op(r(arg))
             assert low.space is get_space(3, *budget)
