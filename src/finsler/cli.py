@@ -34,6 +34,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 
@@ -130,6 +131,9 @@ def _tolerances(cfg):
     if not isinstance(tols, dict):
         raise ConfigError("'tolerances' must be an object")
     for key, val in tols.items():
+        if key != "default" and key not in SUITES:
+            raise ConfigError(f"unknown tolerance key {key!r}; known: "
+                              f"'default' and {sorted(SUITES)}")
         # json parses Infinity, which would pass every identity; a huge
         # JSON integer is compared, not converted, so it cannot overflow
         if not (_is_number(val) and 0 < val <= sys.float_info.max):
@@ -250,7 +254,7 @@ def cmd_classify(cfg, args):
     report = classify(metric, spec, backend=backend)
     with _report_stream(cfg, args) as stream:
         _emit(stream, _header("classify", cfg, metric, spec, backend))
-        _emit(stream, report.to_json_dict())
+        _emit(stream, asdict(report))
     if report.verdict == "constant":
         line = (f"{metric.name}: constant "
                 f"(k={report.k_mean:.4f}±{report.k_std:.4f})")

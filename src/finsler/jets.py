@@ -92,12 +92,6 @@ class _Group:
         dst = self.locate(self.key[src] - self.place[var])
         return src, dst, self.M[src, var].astype(float)
 
-    def factorials(self):
-        """prod_v alpha_v! for each monomial alpha."""
-        fact = np.array([math.factorial(k) for k in range(self.maxdeg + 1)],
-                        dtype=np.int64)
-        return fact[self.M].prod(axis=1)
-
 
 @functools.lru_cache(maxsize=None)
 def _group(nvars, maxdeg):
@@ -140,10 +134,6 @@ class JetSpace:
         self.xderiv = [gx.deriv_table(q) for q in range(n)]
         self.yderiv = [gy.deriv_table(q) for q in range(n)]
 
-        # factorial factor per combined monomial, for partial extraction
-        self.fact = (gx.factorials()[:, None]
-                     * gy.factorials()[None, :]).ravel()
-
     # ---- constructors -------------------------------------------------
     def constant(self, value):
         value = np.asarray(value, dtype=float)
@@ -164,13 +154,6 @@ class JetSpace:
         return ([variable(x[q], (1 + q) * self.NY, self.px)
                  for q in range(self.n)],
                 [variable(y[q], 1 + q, self.py) for q in range(self.n)])
-
-    def mono_id(self, ax, ay):
-        """Combined monomial id for x-exponents ax and y-exponents ay."""
-        gx = _group(self.n, self.px)
-        gy = _group(self.n, self.py)
-        return (int(gx.locate(gx.place @ ax)) * self.NY
-                + int(gy.locate(gy.place @ ay)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,19 +205,6 @@ class Jet:
         """Constant term (the value of the field at the base point)."""
         v = self.c[0]
         return float(v) if v.ndim == 0 else np.array(v)
-
-    def partial(self, xs=(), ys=()):
-        """Mixed partial derivative value; xs/ys are variable-index tuples."""
-        sp = self.space
-        ax = np.bincount(np.asarray(xs, dtype=int), minlength=sp.n)
-        ay = np.bincount(np.asarray(ys, dtype=int), minlength=sp.n)
-        if sum(ax) > sp.px or sum(ay) > sp.py:
-            raise OrderUnsupported(
-                f"partial of order (x:{sum(ax)}, y:{sum(ay)}) exceeds jet "
-                f"validity (x:{sp.px}, y:{sp.py})")
-        mid = sp.mono_id(ax, ay)
-        v = self.c[mid] * sp.fact[mid]
-        return float(v) if np.ndim(v) == 0 else np.array(v)
 
     # ---- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -343,7 +313,8 @@ class Jet:
 def _taylor(u, coeffs, head, rel):
     """head * sum_k coeffs(k) w^k by Horner, up to the total order of the
     jet u, where u0 is the constant term of u and w = u/u0 - 1 (rel: u is
-    u0 (1 + w)) or w = u - u0 (u is u0 + w)."""
+    u0 (1 + w)) or w = u - u0 (u is u0 + w).  A coefficient is a float or
+    an array of the jet's shape (one series for every component)."""
     u0 = np.asarray(u.c[0])
     if rel:
         w = u * (1.0 / u0)
@@ -363,15 +334,6 @@ def _binomial(p, k):
     for j in range(1, k + 1):
         c = c * (p - j + 1) / j
     return c
-
-
-# Taylor coefficients of cos(w) and sin(w)
-def _cos_coeff(k):
-    return (1.0, 0.0, -1.0, 0.0)[k % 4] / math.factorial(k)
-
-
-def _sin_coeff(k):
-    return (0.0, 1.0, 0.0, -1.0)[k % 4] / math.factorial(k)
 
 
 # generic math functions for metric evaluators: each takes a float, an
@@ -410,28 +372,25 @@ def log(u):
     u0 = np.asarray(u.c[0])
     if np.any(u0 <= 0.0):
         raise EvalDomainError("log of a non-positive value")
-    res = _taylor(u, lambda k: (-1.0) ** (k + 1) / k if k else 0.0, 1.0,
-                  rel=True)
-    res.c[0] += np.log(u0)
-    return res
+    return _taylor(u, lambda k: (-1.0) ** (k + 1) / k if k else np.log(u0),
+                   1.0, rel=True)
 
 
 def sin(u):
     if not isinstance(u, Jet):
         return np.sin(u)
-    u0 = np.asarray(u.c[0])
-    # sin(u0 + w) = sin(u0) cos(w) + cos(u0) sin(w)
-    return (_taylor(u, _cos_coeff, np.sin(u0), rel=False)
-            + _taylor(u, _sin_coeff, np.cos(u0), rel=False))
+    s, c = np.sin(u.c[0]), np.cos(u.c[0])
+    # the k-th derivative of sin at u0 cycles through s, c, -s, -c
+    return _taylor(u, lambda k: (s, c, -s, -c)[k % 4] / math.factorial(k),
+                   1.0, rel=False)
 
 
 def cos(u):
     if not isinstance(u, Jet):
         return np.cos(u)
-    u0 = np.asarray(u.c[0])
-    # cos(u0 + w) = cos(u0) cos(w) - sin(u0) sin(w)
-    return (_taylor(u, _cos_coeff, np.cos(u0), rel=False)
-            - _taylor(u, _sin_coeff, np.sin(u0), rel=False))
+    s, c = np.sin(u.c[0]), np.cos(u.c[0])
+    return _taylor(u, lambda k: (c, -s, -c, s)[k % 4] / math.factorial(k),
+                   1.0, rel=False)
 
 
 def dot(u, v):
@@ -472,28 +431,24 @@ def jet_einsum(subscripts, a, b):
 
 def jet_matrix_inverse(m):
     """Inverse of a square-matrix-valued jet via Gauss-Jordan elimination
-    with partial pivoting on constant terms."""
+    with partial pivoting on constant terms, on the augmented rows [m | I]."""
     n = m.shape[0]
     sp = m.space
     # work on object grid of scalar jets; n <= 4 so this stays cheap
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
-    eye = [[sp.constant(1.0 if i == j else 0.0) for j in range(n)]
-           for i in range(n)]
+    a = [[m[i, j] for j in range(n)]
+         + [sp.constant(1.0 if i == j else 0.0) for j in range(n)]
+         for i in range(n)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col].c[0]))
         if abs(a[piv][col].c[0]) < 1e-14:
             raise EvalDomainError("singular matrix in jet inversion")
         a[col], a[piv] = a[piv], a[col]
-        eye[col], eye[piv] = eye[piv], eye[col]
         inv = a[col][col].reciprocal()
         a[col] = [e * inv for e in a[col]]
-        eye[col] = [e * inv for e in eye[col]]
         for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            a[r] = [a[r][j] - f * a[col][j] for j in range(n)]
-            eye[r] = [eye[r][j] - f * eye[col][j] for j in range(n)]
-    c = np.stack([np.stack([eye[i][j].c for j in range(n)], axis=-1)
-                  for i in range(n)], axis=-2)
+            if r != col:
+                f = a[r][col]
+                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
+    c = np.stack([np.stack([e.c for e in row[n:]], axis=-1) for row in a],
+                 axis=-2)
     return Jet(sp, c)

@@ -8,6 +8,7 @@ no direction is special-cased.
 
 Each rejected draw is logged at DEBUG level on the ``finsler`` logger,
 with its reason; nothing is shown unless logging is configured for it.
+When too many draws are rejected, the error counts them by reason.
 """
 
 from __future__ import annotations
@@ -36,38 +37,43 @@ def sample_points(metric: FinslerMetric, spec: SamplingSpec):
     radius = spec.radius if spec.radius is not None else _RADIUS
     n = metric.n
     points = []
+    rejected = {}  # reason -> number of draws
     attempts = 0
     while len(points) < spec.count:
         attempts += 1
         if attempts > 100 * spec.count + 100:
+            counts = ", ".join(f"{k}: {v}" for k, v in rejected.items())
             raise DomainError(
                 f"could not draw {spec.count} valid sample points for "
-                f"{metric.name} (domain: {metric.domain_desc})")
+                f"{metric.name} (domain: {metric.domain_desc}); rejected "
+                f"draws by reason: {counts}")
         u = rng.normal(size=n)
         r = rng.uniform(0.0, 1.0) ** (1.0 / n)
         x = radius * r * u / np.linalg.norm(u)
         v = rng.normal(size=n)
         y = rng.uniform(0.5, 2.0) * v / np.linalg.norm(v)
         if not metric.in_domain(x):
-            _reject(metric, attempts, "outside domain", x, y)
+            _reject(metric, rejected, attempts, "outside domain", x, y)
             continue
         p = SamplePoint(x, y)
         try:
             if metric.L(p) <= 0.0:
-                _reject(metric, attempts, "L <= 0", x, y)
+                _reject(metric, rejected, attempts, "L <= 0", x, y)
                 continue
         except (DomainError, EvalDomainError) as e:
-            _reject(metric, attempts, f"{type(e).__name__}: {e}", x, y)
+            _reject(metric, rejected, attempts, type(e).__name__, x, y,
+                    f": {e}")
             continue
         points.append(p)
     return points
 
 
-def _reject(metric, attempt, reason, x, y):
+def _reject(metric, rejected, attempt, reason, x, y, detail=""):
+    rejected[reason] = rejected.get(reason, 0) + 1
     # imported here, not with the package: logging adds about 5 ms to
     # every start-up, and most runs reject no draw
     import logging
 
     logging.getLogger("finsler").debug(
         "%s: rejected sample draw %d (%s) at x=%s, y=%s",
-        metric.name, attempt, reason, x, y)
+        metric.name, attempt, reason + detail, x, y)

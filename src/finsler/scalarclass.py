@@ -12,7 +12,7 @@ bug and raises InternalInconsistency rather than producing a verdict.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class ClassificationReport:
     k_mean: float
     k_std: float
     residuals: dict = field(default_factory=dict)  # name -> {value, tolerance}
-
-    def to_json_dict(self):
-        return asdict(self)
 
 
 def classify(metric: FinslerMetric, spec: SamplingSpec = None,

@@ -35,7 +35,7 @@ def isotropy(H, k, L, phi):
     return _mx(H - k * L * L * phi) / max(_mx(H), L * L)
 
 
-def _d2(cj, field_jet):
+def _d2(field_jet):
     """Intrinsic second vertical derivative layout: the differentiation
     direction moved to the FIRST slot (storage appends it last)."""
     arr = d_y(field_jet).value()
@@ -84,7 +84,7 @@ def suite_lemma22(cj: ChartJets):
     y = cj.p.y
     C = cj.C.value()
     phi = cj.phi.value()
-    D2C = _d2(cj, cj.C)  # [direction X, argument Y]
+    D2C = _d2(cj.C)  # [direction X, argument Y]
     return {
         "C_kills_direction": _rel(C @ y, C),
         "C_is_indicatory": _rel(phi.T @ C - C, C),
@@ -101,8 +101,8 @@ def suite_lemma23(cj: ChartJets):
     B = cj.B.value()
     ell = cj.ell.value()
     phi = cj.phi.value()
-    D2C = _d2(cj, cj.C)
-    D2B = _d2(cj, cj.B)  # [X=direction, Y, Z]
+    D2C = _d2(cj.C)
+    D2B = _d2(cj.B)  # [X=direction, Y, Z]
     return {
         "B_kills_direction": _rel(B @ y, B, C),
         "B_is_indicatory": _rel(phi.T @ B @ phi - B, B),
@@ -229,7 +229,7 @@ def suite_lemma31(cj: ChartJets):
     B = cj.B.value()
     A = cj.A.value()
     hbar = cj.hbar.value()
-    D2B = _d2(cj, cj.B)
+    D2B = _d2(cj.B)
 
     expansion = (L * D2B + np.einsum("z,xy->xyz", ell, B)
                  + np.einsum("y,xz->xyz", ell, B))

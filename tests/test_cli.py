@@ -78,6 +78,24 @@ class TestTensors:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("metric,sampling,reason", [
+        ({"dsl": "-sqrt(norm2(y))", "dimension": 3}, {"count": 1},
+         "L <= 0: 200"),
+        ({"catalog": "funk", "dimension": 3}, {"count": 1, "radius": 50},
+         "outside domain: 200"),
+    ], ids=["negative-L", "radius-past-domain"])
+    def test_sampling_error_counts_rejections(self, tmp_path, capsys,
+                                              metric, sampling, reason):
+        """The sampling error names why the draws were rejected, not only
+        the domain."""
+        cfg = write_config(tmp_path, "c.json", {
+            "metric": metric, "sampling": sampling,
+        })
+        assert main(["classify", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not draw 1 valid sample points")
+        assert f"rejected draws by reason: {reason}\n" in err
+
 
 class TestVerify:
     def test_funk_passes(self, tmp_path, funk_cfg):
@@ -237,6 +255,21 @@ class TestConfigValidation:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["verify", "--config", path]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("key,code", [("bianchy", 2), ("bianchi", 1)],
+                             ids=["misspelled-suite", "suite"])
+    def test_tolerance_keys(self, tmp_path, capsys, key, code):
+        """A tolerance key names a suite or 'default'; a misspelled key is
+        a config error, not silently the default."""
+        path = write_config(tmp_path, "c.json", {
+            "metric": {"catalog": "funk", "dimension": 3},
+            "sampling": {"count": 1, "seed": 0},
+            "suites": ["bianchi"], "tolerances": {key: 1e-30},
+        })
+        assert main(["verify", "--config", path]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("config error:") and repr(key) in err
 
     def test_fd_backend_tensors(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -1,6 +1,8 @@
 """Scalar-curvature extraction, the derivative ladder, the
 characterization checks, and classification verdicts."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -210,7 +212,7 @@ class TestClassify:
         assert report.sample_count == 3
         assert len(report.k_samples) == 3
         assert report.backend == "jet"
-        d = report.to_json_dict()
+        d = asdict(report)
         assert d["verdict"] == "constant"
         for entry in d["residuals"].values():
             assert set(entry) == {"value", "tolerance"}
