@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetric, DomainError
-from .jets import Jet, d_x, d_y, get_space, jet_einsum, jet_matrix_inverse, jstack
+from .jets import (Jet, d_x, d_y, get_space, jet_einsum, jet_matrix_inverse,
+                   jstack, shared)
 from .metric import FinslerMetric, SamplePoint
 
 _LETTERS = "abcdefgh"
@@ -104,12 +105,20 @@ class ChartJets:
 
     @cached_property
     def phi(self):
-        outer = jet_einsum("i,j->ij", self.yjet, self.ell)
-        return np.eye(self.n) + (-1.0) * outer * self.L.reciprocal()
+        # 1/L at the chart's budget: its series reads the table of the
+        # metric's own series, where one at ell's budget would build another
+        return self._phi(self.L)
+
+    def _phi(self, L):
+        """phi = I - y (x) (ell / L), at the budget of ell or of L (the jet
+        L or one of its restrictions), whichever is lower."""
+        return np.eye(self.n) - jet_einsum("i,j->ij", self.yjet,
+                                           self.ell * L.reciprocal())
 
     @cached_property
     def hbar(self):
-        return self.g - jet_einsum("i,j->ij", self.ell, self.ell)
+        ell, g = shared([self.ell, self.g])
+        return g - jet_einsum("i,j->ij", ell, ell)
 
     # ---- spray and connection ----------------------------------------
     @cached_property
@@ -119,9 +128,10 @@ class ChartJets:
         # the Berwald coefficients of a Riemannian metric equal its
         # Christoffel symbols and anchors k = kappa on the space forms.
         dEx = d_x(self.E)              # [k]
-        dExy = d_y(dEx)                # [k, h] = d2E/dx^k dy^h
+        # [k, h] = d2E/dx^k dy^h; all three at the budget of G
+        dEx, dExy, g_inv = shared([dEx, d_y(dEx), self.g_inv])
         lhs = jet_einsum("k,kh->h", self.yjet, dExy) - dEx
-        return 0.5 * jet_einsum("ih,h->i", self.g_inv, lhs)
+        return 0.5 * jet_einsum("ih,h->i", g_inv, lhs)
 
     @cached_property
     def N(self):
@@ -135,26 +145,24 @@ class ChartJets:
         """Horizontal basis derivative, direction appended last:
         (delta F)[..., c] = dF/dx^c - N^m_c dF/dy^m."""
         sub = _LETTERS[:len(F.shape)]
-        dyN = jet_einsum(f"{sub}m,mw->{sub}w", d_y(F), self.N)
-        return d_x(F) - dyN
+        dxF, dyF, N = shared([d_x(F), d_y(F), self.N])
+        return dxF - jet_einsum(f"{sub}m,mw->{sub}w", dyF, N)
 
     def h_cov(self, F, contravariant_first=False):
         """Berwald horizontal covariant derivative of a tensor-valued jet
         field; new covariant slot appended last."""
         r = len(F.shape)
         sub = _LETTERS[:r]
-        out = self.delta(F)
+        out, Gamma, F = shared([self.delta(F), self.Gamma, F])
         if contravariant_first:
             fsub = "m" + sub[1:]
-            out = out + jet_einsum(f"{sub[0]}mw,{fsub}->{sub}w",
-                                   self.Gamma, F)
+            out = out + jet_einsum(f"{sub[0]}mw,{fsub}->{sub}w", Gamma, F)
             cov = range(1, r)
         else:
             cov = range(r)
         for t in cov:
             fsub = sub[:t] + "m" + sub[t + 1:]
-            out = out - jet_einsum(f"m{sub[t]}w,{fsub}->{sub}w",
-                                   self.Gamma, F)
+            out = out - jet_einsum(f"m{sub[t]}w,{fsub}->{sub}w", Gamma, F)
         return out
 
     # ---- curvature ----------------------------------------------------
@@ -169,9 +177,8 @@ class ChartJets:
 
     @cached_property
     def k(self):
-        tr = self.H.trace(0, 1)
-        L2 = self.L * self.L
-        return tr * L2.reciprocal() * (1.0 / (self.n - 1))
+        tr, L = shared([self.H.trace(0, 1), self.L])
+        return tr * (L * L).reciprocal() * (1.0 / (self.n - 1))
 
     # ---- scalar-curvature ladder -------------------------------------
     @cached_property
@@ -196,23 +203,27 @@ class ChartJets:
         """phi composed into every slot of m, one einsum per slot; for
         rank 3: "ax,abc->xbc", then "by,xbc->xyc", then "cz,xyc->xyz"."""
         src, dst = "abc"[:len(m.shape)], "xyz"[:len(m.shape)]
+        phi = self._phi(shared([m, self.L])[1])
         for t in range(len(src)):
             m_sub = dst[:t] + src[t:]
             out = dst[:t + 1] + src[t + 1:]
-            m = jet_einsum(f"{src[t]}{dst[t]},{m_sub}->{out}", self.phi, m)
+            m = jet_einsum(f"{src[t]}{dst[t]},{m_sub}->{out}", phi, m)
         return m
 
+    # Ntensor and F are read at B's budget, so every product runs there
     @cached_property
     def Ntensor(self):
-        lC = jet_einsum("x,y->xy", self.ell, self.C)
+        B, k, ell, C, g = shared([self.B, self.k, self.ell, self.C, self.g])
+        lC = jet_einsum("x,y->xy", ell, C)
         Cl = lC.tr(1, 0)
-        core = self.g + jet_einsum("x,y->xy", self.ell, self.ell)
-        return self.k * core + (1.0 / 3.0) * (self.B + 2.0 * lC + 2.0 * Cl)
+        core = g + jet_einsum("x,y->xy", ell, ell)
+        return k * core + (1.0 / 3.0) * (B + 2.0 * lC + 2.0 * Cl)
 
     @cached_property
     def F(self):
-        Cl = jet_einsum("x,y->xy", self.C, self.ell)
-        return (1.0 / 3.0) * (self.B + 2.0 * Cl)
+        B, C, ell = shared([self.B, self.C, self.ell])
+        Cl = jet_einsum("x,y->xy", C, ell)
+        return (1.0 / 3.0) * (B + 2.0 * Cl)
 
     # ---- full h-curvature --------------------------------------------
     @cached_property

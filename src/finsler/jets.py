@@ -19,6 +19,11 @@ space is the top-left block of a larger space's (NX, NY) coefficient
 grid, and restriction is a slice.  Exceeding the budget raises
 :class:`OrderUnsupported`.
 
+Elementary functions (reciprocal, sqrt, powers, exp, log, sin, cos) are
+solved degree by degree: each solves a first-order equation in the Euler
+operator, so its coefficients of total degree d follow from those below
+d, at about the cost of one product (``_solve``).
+
 Coefficient arrays have shape ``(T, *trailing)`` where T is the number of
 monomials of the jet's own budget; the trailing axes hold tensor
 components, so whole tensors of jets are manipulated with vectorized
@@ -29,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -134,6 +138,28 @@ class JetSpace:
         self.xderiv = [gx.deriv_table(q) for q in range(n)]
         self.yderiv = [gy.deriv_table(q) for q in range(n)]
 
+    @functools.cached_property
+    def graded(self):
+        """The total degree of each monomial (as floats), and for each total
+        degree d >= 1 the product pairs (I, J) -> K with deg K = d and
+        I != 0, grouped by K as in the product table: a tuple (K of each
+        group, I, J, group starts).  Only series read it, so it is built
+        on first use."""
+        deg = (_group(self.n, self.px).M.sum(axis=1)[:, None]
+               + _group(self.n, self.py).M.sum(axis=1)[None, :]).ravel()
+        K = np.repeat(np.arange(self.T),
+                      np.diff(self.red_starts, append=len(self.mI)))
+        keep = np.flatnonzero(self.mI)
+        # a stable sort keeps the groups, and the pairs inside each, in order
+        keep = keep[np.argsort(deg[K[keep]], kind="stable")]
+        I, J, K = self.mI[keep], self.mJ[keep], K[keep]
+        ends = np.searchsorted(deg[K], np.arange(1, self.px + self.py + 2))
+        out = []
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            starts = np.flatnonzero(np.diff(K[lo:hi], prepend=-1))
+            out.append((K[lo:hi][starts], I[lo:hi], J[lo:hi], starts))
+        return deg.astype(float), out
+
     # ---- constructors -------------------------------------------------
     def constant(self, value):
         value = np.asarray(value, dtype=float)
@@ -176,7 +202,7 @@ def restrict(jet, px, py):
     return Jet(sub, grid[:sub.NX, :sub.NY].reshape((sub.T,) + jet.shape))
 
 
-def _shared(jets):
+def shared(jets):
     """The jets restricted to the budget they all share."""
     n = jets[0].space.n
     if any(j.space.n != n for j in jets):
@@ -209,13 +235,13 @@ class Jet:
     # ---- arithmetic ---------------------------------------------------
     def __add__(self, other):
         if isinstance(other, Jet):
-            a, b = _shared([self, other])
+            a, b = shared([self, other])
             ca, cb = _align(a.c, b.c)
             return Jet(a.space, ca + cb)
         other = np.asarray(other, dtype=float)
         shape = np.broadcast_shapes(self.shape, other.shape)
         c = np.zeros((self.space.T,) + shape)
-        c += self.c
+        c += _align(self.c, other[None])[0]
         c[0] += other
         return Jet(self.space, c)
 
@@ -233,12 +259,15 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.c * np.asarray(other, dtype=float))
-        a, b = _shared([self, other])
+            ca, cb = _align(self.c, np.asarray(other, dtype=float)[None])
+            return Jet(self.space, ca * cb)
+        a, b = shared([self, other])
         sp = a.space
         ca, cb = _align(a.c, b.c)
-        return Jet(sp, np.add.reduceat(ca[sp.mI] * cb[sp.mJ], sp.red_starts,
-                                       axis=0))
+        # np.take gathers rows of a tensor jet several times faster than
+        # fancy indexing (ca[sp.mI]), with the same result
+        prod = np.take(ca, sp.mI, axis=0) * np.take(cb, sp.mJ, axis=0)
+        return Jet(sp, np.add.reduceat(prod, sp.red_starts, axis=0))
 
     __rmul__ = __mul__
 
@@ -307,33 +336,45 @@ class Jet:
         u0 = np.asarray(self.c[0])
         if np.any(np.abs(u0) < _DIV_EPS):
             raise EvalDomainError("division by (near) zero")
-        return _taylor(self, lambda k: (-1.0) ** k, 1.0 / u0, rel=True)
+        return _solve(self, 1.0 / u0, u0, -1.0, -1.0)
 
 
-def _taylor(u, coeffs, head, rel):
-    """head * sum_k coeffs(k) w^k by Horner, up to the total order of the
-    jet u, where u0 is the constant term of u and w = u/u0 - 1 (rel: u is
-    u0 (1 + w)) or w = u - u0 (u is u0 + w).  A coefficient is a float or
-    an array of the jet's shape (one series for every component)."""
+def _solve(u, v0, scale, wI, wJ, du=0.0):
+    """The series v = f(u) with constant term v0, solved degree by degree.
+
+    The Euler operator D multiplies a monomial of total degree d by d.
+    Each f here solves a first-order equation in D whose coefficient at a
+    monomial K of degree d reads
+
+        scale d v_K = du d u_K + sum_{I+J=K, I!=0} (wI deg I + wJ deg J) u_I v_J
+
+    u^p (u Dv = p v Du): scale u0, wI p, wJ -1; exp (Dv = v Du): scale 1,
+    wI 1, wJ 0; log (u Dv = Du): scale u0, wI 0, wJ -1, du 1.  The sum
+    reads v only below degree d; as deg J = d - deg I it is sum z_I v_J
+    with z = (wI - wJ) Du + wJ d u, one pass over the degree's pairs.  D
+    maps the truncated monomials into themselves, so v is exact within
+    the jet's budget.  v0 and wI may be complex (``_cis``)."""
+    sp = u.space
+    deg, tables = sp.graded
+    Du = deg.reshape((-1,) + (1,) * (u.c.ndim - 1)) * u.c
+    v = np.zeros(u.c.shape, dtype=np.result_type(v0, wI))
+    v[0] = v0
+    for d, (K, I, J, starts) in enumerate(tables, 1):
+        z = (wI - wJ) * Du + (wJ * d) * u.c
+        acc = np.add.reduceat(np.take(z, I, axis=0) * np.take(v, J, axis=0),
+                              starts, axis=0)
+        if du:
+            acc += du * d * u.c[K]
+        v[K] = acc / (scale * d)
+    return Jet(sp, v)
+
+
+def _cis(u):
+    """exp(i u) as one complex series: its real part is cos u and its
+    imaginary part sin u, so d s_K = sum deg I u_I c_J and d c_K =
+    -sum deg I u_I s_J come from one pass."""
     u0 = np.asarray(u.c[0])
-    if rel:
-        w = u * (1.0 / u0)
-        w.c[0] -= 1.0
-    else:
-        w = u - u0
-    cs = [coeffs(k) for k in range(u.space.px + u.space.py + 1)]
-    acc = w.space.constant(np.full(w.shape, cs[-1]))
-    for ck in reversed(cs[:-1]):
-        acc = acc * w + ck
-    return acc * head
-
-
-def _binomial(p, k):
-    """The k-th Taylor coefficient of (1 + w)^p, as a running product."""
-    c = 1.0
-    for j in range(1, k + 1):
-        c = c * (p - j + 1) / j
-    return c
+    return _solve(u, np.cos(u0) + 1j * np.sin(u0), 1.0, 1j, 0.0).c
 
 
 # generic math functions for metric evaluators: each takes a float, an
@@ -344,7 +385,7 @@ def sqrt(u):
     u0 = np.asarray(u.c[0])
     if np.any(u0 <= 0.0):
         raise EvalDomainError("sqrt of a non-positive value")
-    return _taylor(u, lambda k: _binomial(0.5, k), np.sqrt(u0), rel=True)
+    return _solve(u, np.sqrt(u0), u0, 0.5, -1.0)
 
 
 def jpow(u, p):
@@ -355,15 +396,13 @@ def jpow(u, p):
         raise EvalDomainError("non-integer power of a non-positive value")
     if isinstance(p, Jet):
         return exp(p * log(u))
-    return _taylor(u, lambda k: _binomial(p, k), u0 ** p, rel=True)
+    return _solve(u, u0 ** p, u0, p, -1.0)
 
 
 def exp(u):
     if not isinstance(u, Jet):
         return np.exp(u)
-    u0 = np.asarray(u.c[0])
-    return _taylor(u, lambda k: 1.0 / math.factorial(k), np.exp(u0),
-                   rel=False)
+    return _solve(u, np.exp(np.asarray(u.c[0])), 1.0, 1.0, 0.0)
 
 
 def log(u):
@@ -372,25 +411,19 @@ def log(u):
     u0 = np.asarray(u.c[0])
     if np.any(u0 <= 0.0):
         raise EvalDomainError("log of a non-positive value")
-    return _taylor(u, lambda k: (-1.0) ** (k + 1) / k if k else np.log(u0),
-                   1.0, rel=True)
+    return _solve(u, np.log(u0), u0, 0.0, -1.0, du=1.0)
 
 
 def sin(u):
     if not isinstance(u, Jet):
         return np.sin(u)
-    s, c = np.sin(u.c[0]), np.cos(u.c[0])
-    # the k-th derivative of sin at u0 cycles through s, c, -s, -c
-    return _taylor(u, lambda k: (s, c, -s, -c)[k % 4] / math.factorial(k),
-                   1.0, rel=False)
+    return Jet(u.space, _cis(u).imag.copy())
 
 
 def cos(u):
     if not isinstance(u, Jet):
         return np.cos(u)
-    s, c = np.sin(u.c[0]), np.cos(u.c[0])
-    return _taylor(u, lambda k: (c, -s, -c, s)[k % 4] / math.factorial(k),
-                   1.0, rel=False)
+    return Jet(u.space, _cis(u).real.copy())
 
 
 def dot(u, v):
@@ -403,7 +436,7 @@ def dot(u, v):
 
 def jstack(jets):
     """Stack same-shaped jets along a new last trailing axis."""
-    jets = _shared(jets)
+    jets = shared(jets)
     return Jet(jets[0].space, np.stack([j.c for j in jets], axis=-1))
 
 
@@ -423,20 +456,22 @@ def jet_einsum(subscripts, a, b):
     reserved for the coefficient-pair axis)."""
     lhs, out = subscripts.split("->")
     s1, s2 = lhs.split(",")
-    a, b = _shared([a, b])
+    a, b = shared([a, b])
     sp = a.space
-    prod = np.einsum(f"Z{s1},Z{s2}->Z{out}", a.c[sp.mI], b.c[sp.mJ])
+    prod = np.einsum(f"Z{s1},Z{s2}->Z{out}", np.take(a.c, sp.mI, axis=0),
+                     np.take(b.c, sp.mJ, axis=0))
     return Jet(sp, np.add.reduceat(prod, sp.red_starts, axis=0))
 
 
 def jet_matrix_inverse(m):
     """Inverse of a square-matrix-valued jet via Gauss-Jordan elimination
-    with partial pivoting on constant terms, on the augmented rows [m | I]."""
+    with partial pivoting on constant terms, on the augmented rows [m | I].
+    An entry of I stays a Python float until elimination makes it a jet,
+    so a product with 1.0 is a scaling and one with 0.0 is skipped."""
     n = m.shape[0]
     sp = m.space
     # work on object grid of scalar jets; n <= 4 so this stays cheap
-    a = [[m[i, j] for j in range(n)]
-         + [sp.constant(1.0 if i == j else 0.0) for j in range(n)]
+    a = [[m[i, j] for j in range(n)] + [float(i == j) for j in range(n)]
          for i in range(n)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col].c[0]))
@@ -444,11 +479,13 @@ def jet_matrix_inverse(m):
             raise EvalDomainError("singular matrix in jet inversion")
         a[col], a[piv] = a[piv], a[col]
         inv = a[col][col].reciprocal()
-        a[col] = [e * inv for e in a[col]]
+        a[col] = [e * inv if isinstance(e, Jet) or e else e for e in a[col]]
         for r in range(n):
             if r != col:
                 f = a[r][col]
-                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
-    c = np.stack([np.stack([e.c for e in row[n:]], axis=-1) for row in a],
+                a[r] = [e - f * p if isinstance(p, Jet) or p else e
+                        for e, p in zip(a[r], a[col])]
+    c = np.stack([np.stack([e.c if isinstance(e, Jet) else sp.constant(e).c
+                            for e in row[n:]], axis=-1) for row in a],
                  axis=-2)
     return Jet(sp, c)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from finsler import catalog
 from finsler.engine import ChartJets
 from finsler.errors import EvalDomainError, OrderUnsupported
 from finsler.jets import (Jet, cos, d_x, d_y, exp, get_space, jet_einsum,
-                          jet_matrix_inverse, jstack, log, restrict, sin,
-                          sqrt)
+                          jet_matrix_inverse, jpow, jstack, log, restrict,
+                          sin, sqrt)
 from finsler.metric import SamplePoint
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
@@ -188,8 +189,21 @@ class TestAnalytic:
             sqrt(ys[0] - 5.0)
 
 
+# identities of the series, as [lhs, rhs, every other jet they involve]
+IDENTITIES = {
+    "reciprocal": lambda u: [u * u.reciprocal(),
+                             u.space.constant(np.ones(u.shape)),
+                             u, u.reciprocal()],
+    "sqrt-of-square": lambda u: [sqrt(u * u), u, u * u],
+    "exp-of-log": lambda u: [exp(log(u)), u, log(u)],
+    "power-sum": lambda u: [jpow(u, 0.3) * jpow(u, 1.45), jpow(u, 1.75),
+                            jpow(u, 0.3), jpow(u, 1.45)],
+}
+
+
 class TestSeries:
-    """One Horner series per function, at the full budget (3, 7)."""
+    """One series per function, solved degree by degree, at the full
+    budget (3, 7)."""
 
     xs, ys = get_space(3, 3, 7).seed(P.x, P.y)
     us = [xs[0] * ys[1] + 0.5 * ys[2] * ys[2] + xs[2],
@@ -208,6 +222,18 @@ class TestSeries:
         for u in self.us:
             r = sin(u) * sin(u) + cos(u) * cos(u) - 1.0
             assert np.abs(r.c).max() <= 1e-14
+
+    @pytest.mark.parametrize("identity", sorted(IDENTITIES))
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["scalar", "shape-3"])
+    def test_identity(self, identity, stacked):
+        """Every coefficient of lhs - rhs is at most 1e-13 of the largest
+        coefficient of the jets involved; a wrong weight in the recurrence
+        misses by far more."""
+        for u in [jstack(self.us)] if stacked else self.us:
+            lhs, rhs, *rest = IDENTITIES[identity](u)
+            scale = max(np.abs(j.c).max() for j in (lhs, rhs, *rest))
+            assert np.abs((lhs - rhs).c).max() <= 1e-13 * scale
 
     def test_chain_rule(self):
         """d_y sin(u) = cos(u) d_y u and d_y cos(u) = -sin(u) d_y u: a
@@ -255,6 +281,20 @@ class TestTensorStructure:
         np.testing.assert_allclose(tr.c, manual.c, atol=1e-14)
         mt = m.tr(1, 0)
         np.testing.assert_allclose(mt.value(), m.value().T)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul], ids=["+", "-", "*"])
+    def test_array_of_higher_rank(self, op):
+        """A jet and an array of higher rank broadcast as the jet and the
+        array's constant jet do."""
+        sp = get_space(3, 1, 1)
+        v = jstack(sp.seed(P.x, P.y)[1])           # shape (3,)
+        arr = np.arange(9.0).reshape(3, 3)
+        const = sp.constant(arr)
+        for got, want in ((op(v, arr), op(v, const)),
+                          (op(arr, v), op(const, v))):
+            assert got.shape == (3, 3)
+            np.testing.assert_array_equal(got.c, want.c)
 
 
 @settings(max_examples=25, deadline=None)
@@ -342,7 +382,8 @@ class TestTruncation:
         u = a + 2.0                              # positive constant term
         mat = m * 0.2 + 3.0 * np.eye(3)          # well-conditioned
         r = lambda j: restrict(j, *budget)
-        for op, arg in ((Jet.reciprocal, u), (sqrt, u),
+        for op, arg in ((Jet.reciprocal, u), (sqrt, u), (exp, a), (log, u),
+                        (sin, a), (cos, a), (lambda v: jpow(v, 0.37), u),
                         (jet_matrix_inverse, mat)):
             full, low = r(op(arg)), op(r(arg))
             assert low.space is get_space(3, *budget)
@@ -411,3 +452,30 @@ def test_pair_table_brute_force(n, px, py):
     sizes = [len(pairs[k]) for k in range(sp.T)]
     np.testing.assert_array_equal(sp.red_starts,
                                   np.cumsum([0] + sizes[:-1]))
+
+
+@pytest.mark.parametrize("n, px, py", [(2, 3, 4), (2, 0, 3), (3, 2, 3),
+                                       (3, 1, 0), (4, 1, 2), (4, 2, 1)])
+def test_graded_table_brute_force(n, px, py):
+    """The series table of total degree d lists every (i, j) with i != 0
+    and mono[i] + mono[j] == mono[k], deg k = d, grouped by k in
+    increasing order and by i inside a group; deg is each monomial's total
+    degree."""
+    sp = get_space(n, px, py)
+    monos = [xm + ym for xm in sp.xm for ym in sp.ym]
+    index = {m: k for k, m in enumerate(monos)}
+    deg, tables = sp.graded
+    np.testing.assert_array_equal(deg, [sum(m) for m in monos])
+    assert len(tables) == px + py
+    for d, (K, I, J, starts) in enumerate(tables, 1):
+        pairs = {k: [] for k, m in enumerate(monos) if sum(m) == d}
+        for i, a in enumerate(monos[1:], 1):
+            for j, b in enumerate(monos):
+                k = index.get(tuple(p + q for p, q in zip(a, b)))
+                if k in pairs:
+                    pairs[k].append((i, j))
+        np.testing.assert_array_equal(K, sorted(pairs))
+        want = [pair for k in sorted(pairs) for pair in pairs[k]]
+        np.testing.assert_array_equal(np.stack([I, J], axis=1), want)
+        sizes = [len(pairs[k]) for k in sorted(pairs)]
+        np.testing.assert_array_equal(starts, np.cumsum([0] + sizes[:-1]))
