@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, DomainError
 from .jets import (Jet, d_x, d_y, get_space, jet_einsum, jet_matrix_inverse,
-                   jstack, shared)
+                   jstack, restrict, shared)
 from .metric import FinslerMetric, SamplePoint
 
 _LETTERS = "abcdefgh"
@@ -36,7 +36,7 @@ _LETTERS = "abcdefgh"
 # minimum jet orders (px, py) each pipeline attribute and each identity
 # suite of finsler.suites needs; the single source of jet orders
 REQUIRED_ORDERS = {
-    "L": (0, 0), "E": (0, 0), "ell": (0, 1), "g": (0, 2), "g_inv": (0, 2),
+    "L": (0, 0), "E": (0, 0), "ell": (0, 1), "g": (0, 2), "g_inv": (1, 2),
     "phi": (0, 1), "hbar": (0, 2), "G": (1, 2), "N": (1, 3),
     "Gamma": (1, 4), "Rhat": (2, 4), "H": (2, 4), "k": (2, 4),
     "C": (2, 5), "B": (2, 6), "A": (2, 7), "Ntensor": (2, 6), "F": (2, 6),
@@ -101,7 +101,8 @@ class ChartJets:
                 f"fundamental tensor not positive definite at "
                 f"x={self.p.x.tolist()}, y={self.p.y.tolist()} "
                 f"(smallest eigenvalue {ev[0]:.3e})", min_eigenvalue=ev[0])
-        return jet_matrix_inverse(self.g)
+        # at the budget of G, its only reader
+        return jet_matrix_inverse(restrict(self.g, self.px - 1, self.py - 2))
 
     @cached_property
     def phi(self):

@@ -19,6 +19,16 @@ space is the top-left block of a larger space's (NX, NY) coefficient
 grid, and restriction is a slice.  Exceeding the budget raises
 :class:`OrderUnsupported`.
 
+A jet's support (sx, sy) <= (px, py) says that its coefficients outside
+the top-left (sx, sy) block of the grid are exact zeros: x seeds have
+(1, 0), y seeds (0, 1), constants (0, 0), and ``Jet(space, c)`` full
+support.  A sum takes the larger support per axis, a product the sum
+(capped at the budget), a derivative one order less, and a series the
+full budget on each axis its argument depends on.  Each product and
+series runs in the space of its support, on its operands' blocks: the
+pairs I + J = K are the same, in the same order, in every space that
+holds K, so only the sign of a zero differs from the full table.
+
 Elementary functions (reciprocal, sqrt, powers, exp, log, sin, cos) are
 solved degree by degree: each solves a first-order equation in the Euler
 operator, so its coefficients of total degree d follow from those below
@@ -165,21 +175,23 @@ class JetSpace:
         value = np.asarray(value, dtype=float)
         c = np.zeros((self.T,) + value.shape)
         c[0] = value
-        return Jet(self, c)
+        return Jet(self, c, (0, 0))
 
     def seed(self, x, y):
         """Seed jets for a full sample point; returns (x_jets, y_jets)
         lists.  In graded order variable q is monomial 1 + q of its
         group; at a zero-order budget a seed is its constant value."""
-        def variable(value, mono, order):
+        def variable(value, mono, order, support):
             jet = self.constant(value)
             if order >= 1:
                 jet.c[mono] = 1.0
+                jet.support = support
             return jet
 
-        return ([variable(x[q], (1 + q) * self.NY, self.px)
+        return ([variable(x[q], (1 + q) * self.NY, self.px, (1, 0))
                  for q in range(self.n)],
-                [variable(y[q], 1 + q, self.py) for q in range(self.n)])
+                [variable(y[q], 1 + q, self.py, (0, 1))
+                 for q in range(self.n)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,13 +205,22 @@ def restrict(jet, px, py):
     sp = jet.space
     if (px, py) == (sp.px, sp.py):
         return jet
-    if px > sp.px or py > sp.py:
-        raise OrderUnsupported(
-            f"cannot extend a jet of budget (x:{sp.px}, y:{sp.py}) to "
-            f"(x:{px}, y:{py})")
+    if not (0 <= px <= sp.px and 0 <= py <= sp.py):
+        raise OrderUnsupported(f"budget (x:{px}, y:{py}) is not within "
+                               f"the jet's (x:{sp.px}, y:{sp.py})")
     sub = get_space(sp.n, px, py)
     grid = jet.c.reshape((sp.NX, sp.NY) + jet.shape)
-    return Jet(sub, grid[:sub.NX, :sub.NY].reshape((sub.T,) + jet.shape))
+    return Jet(sub, grid[:sub.NX, :sub.NY].reshape((sub.T,) + jet.shape),
+               tuple(map(min, jet.support, (px, py))))
+
+
+def _widen(c, sub, sp):
+    """The jet of budget ``sp`` and support ``sub`` whose block is c."""
+    if sub is not sp:
+        out = np.zeros((sp.NX, sp.NY) + c.shape[1:], dtype=c.dtype)
+        out[:sub.NX, :sub.NY] = c.reshape((sub.NX, sub.NY) + c.shape[1:])
+        c = out.reshape((sp.T,) + c.shape[1:])
+    return Jet(sp, c, (sub.px, sub.py))
 
 
 def shared(jets):
@@ -215,12 +236,13 @@ def shared(jets):
 class Jet:
     """Tensor-valued truncated Taylor expansion; see module docstring."""
 
-    __slots__ = ("space", "c")
+    __slots__ = ("space", "c", "support")
     __array_ufunc__ = None  # keep numpy from elementwise-broadcasting us
 
-    def __init__(self, space, c):
+    def __init__(self, space, c, support=None):
         self.space = space
         self.c = c
+        self.support = (space.px, space.py) if support is None else support
 
     # ---- basic info ---------------------------------------------------
     @property
@@ -237,18 +259,18 @@ class Jet:
         if isinstance(other, Jet):
             a, b = shared([self, other])
             ca, cb = _align(a.c, b.c)
-            return Jet(a.space, ca + cb)
+            return Jet(a.space, ca + cb, tuple(map(max, a.support, b.support)))
         other = np.asarray(other, dtype=float)
         shape = np.broadcast_shapes(self.shape, other.shape)
         c = np.zeros((self.space.T,) + shape)
         c += _align(self.c, other[None])[0]
         c[0] += other
-        return Jet(self.space, c)
+        return Jet(self.space, c, self.support)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.c)
+        return Jet(self.space, -self.c, self.support)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet)
@@ -260,14 +282,8 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             ca, cb = _align(self.c, np.asarray(other, dtype=float)[None])
-            return Jet(self.space, ca * cb)
-        a, b = shared([self, other])
-        sp = a.space
-        ca, cb = _align(a.c, b.c)
-        # np.take gathers rows of a tensor jet several times faster than
-        # fancy indexing (ca[sp.mI]), with the same result
-        prod = np.take(ca, sp.mI, axis=0) * np.take(cb, sp.mJ, axis=0)
-        return Jet(sp, np.add.reduceat(prod, sp.red_starts, axis=0))
+            return Jet(self.space, ca * cb, self.support)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -296,17 +312,17 @@ class Jet:
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)
-        return Jet(self.space, self.c[(slice(None),) + idx])
+        return Jet(self.space, self.c[(slice(None),) + idx], self.support)
 
     def tr(self, *perm):
         """Permute trailing (component) axes."""
         axes = (0,) + tuple(p + 1 for p in perm)
-        return Jet(self.space, self.c.transpose(axes))
+        return Jet(self.space, self.c.transpose(axes), self.support)
 
     def trace(self, a, b):
         """Contract two trailing axes of equal extent."""
         c = np.diagonal(self.c, axis1=a + 1, axis2=b + 1).sum(axis=-1)
-        return Jet(self.space, c)
+        return Jet(self.space, c, self.support)
 
     # ---- formal differentiation --------------------------------------
     def dx(self, q):
@@ -318,7 +334,8 @@ class Jet:
         out = np.zeros((sub.NX,) + cc.shape[1:])
         src, dst, mul = sp.xderiv[q]
         out[dst] = cc[src] * mul.reshape((-1,) + (1,) * (cc.ndim - 1))
-        return Jet(sub, out.reshape((sub.T,) + self.shape))
+        return Jet(sub, out.reshape((sub.T,) + self.shape),
+                   (max(self.support[0] - 1, 0), self.support[1]))
 
     def dy(self, q):
         sp = self.space
@@ -329,7 +346,8 @@ class Jet:
         out = np.zeros((sp.NX, sub.NY) + cc.shape[2:])
         src, dst, mul = sp.yderiv[q]
         out[:, dst] = cc[:, src] * mul.reshape((-1,) + (1,) * (cc.ndim - 2))
-        return Jet(sub, out.reshape((sub.T,) + self.shape))
+        return Jet(sub, out.reshape((sub.T,) + self.shape),
+                   (self.support[0], max(self.support[1] - 1, 0)))
 
     # ---- analytic functions ------------------------------------------
     def reciprocal(self):
@@ -337,6 +355,27 @@ class Jet:
         if np.any(np.abs(u0) < _DIV_EPS):
             raise EvalDomainError("division by (near) zero")
         return _solve(self, 1.0 / u0, u0, -1.0, -1.0)
+
+
+def _convolve(I, J, starts, a, b, subscripts=None):
+    """The kernel of products and series: per pair group from ``starts``,
+    sum a[I] b[J] (or einsum ``subscripts``); np.take is faster than a[I]."""
+    a, b = np.take(a, I, axis=0), np.take(b, J, axis=0)
+    prod = a * b if subscripts is None else np.einsum(subscripts, a, b)
+    return np.add.reduceat(prod, starts, axis=0)
+
+
+def _product(a, b, subscripts=None):
+    """a times b at the budget they share, run in the space of the sum of
+    their supports on the operands' blocks of it."""
+    a, b = shared([a, b])
+    sp = a.space
+    sub = get_space(sp.n, min(a.support[0] + b.support[0], sp.px),
+                    min(a.support[1] + b.support[1], sp.py))
+    a, b = restrict(a, sub.px, sub.py), restrict(b, sub.px, sub.py)
+    ca, cb = (a.c, b.c) if subscripts else _align(a.c, b.c)
+    c = _convolve(sub.mI, sub.mJ, sub.red_starts, ca, cb, subscripts)
+    return _widen(c, sub, sp)
 
 
 def _solve(u, v0, scale, wI, wJ, du=0.0):
@@ -353,28 +392,32 @@ def _solve(u, v0, scale, wI, wJ, du=0.0):
     reads v only below degree d; as deg J = d - deg I it is sum z_I v_J
     with z = (wI - wJ) Du + wJ d u, one pass over the degree's pairs.  D
     maps the truncated monomials into themselves, so v is exact within
-    the jet's budget.  v0 and wI may be complex (``_cis``)."""
+    the jet's budget.  v0 and wI may be complex (``_cis``).  An axis u
+    does not depend on stays at order 0."""
     sp = u.space
-    deg, tables = sp.graded
-    Du = deg.reshape((-1,) + (1,) * (u.c.ndim - 1)) * u.c
-    v = np.zeros(u.c.shape, dtype=np.result_type(v0, wI))
+    sx, sy = u.support
+    sub = get_space(sp.n, sp.px if sx else 0, sp.py if sy else 0)
+    uc = restrict(u, sub.px, sub.py).c
+    deg, tables = sub.graded
+    Du = deg.reshape((-1,) + (1,) * (uc.ndim - 1)) * uc
+    v = np.zeros(uc.shape, dtype=np.result_type(v0, wI))
     v[0] = v0
     for d, (K, I, J, starts) in enumerate(tables, 1):
-        z = (wI - wJ) * Du + (wJ * d) * u.c
-        acc = np.add.reduceat(np.take(z, I, axis=0) * np.take(v, J, axis=0),
-                              starts, axis=0)
+        z = (wI - wJ) * Du + (wJ * d) * uc
+        acc = _convolve(I, J, starts, z, v)
         if du:
-            acc += du * d * u.c[K]
+            acc += du * d * uc[K]
         v[K] = acc / (scale * d)
-    return Jet(sp, v)
+    return _widen(v, sub, sp)
 
 
-def _cis(u):
+def _cis(u, part):
     """exp(i u) as one complex series: its real part is cos u and its
     imaginary part sin u, so d s_K = sum deg I u_I c_J and d c_K =
-    -sum deg I u_I s_J come from one pass."""
+    -sum deg I u_I s_J come from one pass.  ``part`` picks one."""
     u0 = np.asarray(u.c[0])
-    return _solve(u, np.cos(u0) + 1j * np.sin(u0), 1.0, 1j, 0.0).c
+    v = _solve(u, np.cos(u0) + 1j * np.sin(u0), 1.0, 1j, 0.0)
+    return Jet(v.space, part(v.c).copy(), v.support)
 
 
 # generic math functions for metric evaluators: each takes a float, an
@@ -417,13 +460,13 @@ def log(u):
 def sin(u):
     if not isinstance(u, Jet):
         return np.sin(u)
-    return Jet(u.space, _cis(u).imag.copy())
+    return _cis(u, np.imag)
 
 
 def cos(u):
     if not isinstance(u, Jet):
         return np.cos(u)
-    return Jet(u.space, _cis(u).real.copy())
+    return _cis(u, np.real)
 
 
 def dot(u, v):
@@ -437,7 +480,8 @@ def dot(u, v):
 def jstack(jets):
     """Stack same-shaped jets along a new last trailing axis."""
     jets = shared(jets)
-    return Jet(jets[0].space, np.stack([j.c for j in jets], axis=-1))
+    return Jet(jets[0].space, np.stack([j.c for j in jets], axis=-1),
+               tuple(map(max, zip(*(j.support for j in jets)))))
 
 
 def d_x(jet):
@@ -456,11 +500,7 @@ def jet_einsum(subscripts, a, b):
     reserved for the coefficient-pair axis)."""
     lhs, out = subscripts.split("->")
     s1, s2 = lhs.split(",")
-    a, b = shared([a, b])
-    sp = a.space
-    prod = np.einsum(f"Z{s1},Z{s2}->Z{out}", np.take(a.c, sp.mI, axis=0),
-                     np.take(b.c, sp.mJ, axis=0))
-    return Jet(sp, np.add.reduceat(prod, sp.red_starts, axis=0))
+    return _product(a, b, f"Z{s1},Z{s2}->Z{out}")
 
 
 def jet_matrix_inverse(m):
@@ -485,7 +525,6 @@ def jet_matrix_inverse(m):
                 f = a[r][col]
                 a[r] = [e - f * p if isinstance(p, Jet) or p else e
                         for e, p in zip(a[r], a[col])]
-    c = np.stack([np.stack([e.c if isinstance(e, Jet) else sp.constant(e).c
-                            for e in row[n:]], axis=-1) for row in a],
-                 axis=-2)
-    return Jet(sp, c)
+    rows = [[e if isinstance(e, Jet) else sp.constant(e) for e in row[n:]]
+            for row in a]
+    return jstack([jstack([row[j] for row in rows]) for j in range(n)])

@@ -80,6 +80,19 @@ class TestDeviation:
         oracle = deviation_fd(metric.a_matrix, P.x, P.y)
         assert np.abs(H - oracle).max() < 1e-5 * max(1, np.abs(H).max())
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_randers_pflat_closed_form(self, n):
+        """F = |y| + <x, y> is projectively flat: with P = F_{x^k} y^k /
+        (2F) = |y|^2 / (2F), K = (P^2 - P_{x^k} y^k) / F^2 = 3|y|^4 /
+        (4F^4) (Chern-Shen, Riemann-Finsler Geometry, ch. 8).  Its L has
+        x-degree 1, so k varies through every product of x- and y-jets."""
+        metric = catalog.randers_pflat(n)
+        for p in sample_points(metric, SamplingSpec(count=4, seed=5)):
+            F = np.linalg.norm(p.y) + p.x @ p.y
+            want = 3.0 * (p.y @ p.y) ** 2 / (4.0 * F ** 4)
+            assert chart(metric, p, "k").k.value() == pytest.approx(
+                want, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_kills_direction(self, metric):
         H = deviation(metric, P)

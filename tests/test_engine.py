@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from finsler import catalog, engine
+from finsler import catalog, jets
 from finsler.engine import REQUIRED_ORDERS, ChartJets, chart
 from finsler.errors import OrderUnsupported
-from finsler.jets import Jet
+from finsler.jets import get_space
 from finsler.metric import SamplePoint
 from finsler.suites import SUITES
 
@@ -41,42 +42,77 @@ def test_chart_takes_largest_orders_per_axis(names, orders):
     assert (cj.px, cj.py) == orders
 
 
+def count_work(monkeypatch):
+    """Counters of the jet work that runs: the number of products, and the
+    coefficient pairs x components of every product and series in the
+    space it runs in, recorded by wrapping the one kernel, jets._convolve
+    (an einsum counts every label's extent, contracted ones included)."""
+    counts = {"products": 0, "pairs": 0}
+    convolve, product = jets._convolve, jets._product
+
+    def counted_convolve(I, J, starts, a, b, subscripts=None):
+        if subscripts is None:
+            comps = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+        else:
+            s1, s2 = subscripts.split("->")[0].split(",")
+            extent = dict(zip(s1[1:], a.shape[1:]))
+            extent.update(zip(s2[1:], b.shape[1:]))
+            comps = extent.values()
+        counts["pairs"] += len(I) * math.prod(comps)
+        return convolve(I, J, starts, a, b, subscripts)
+
+    def counted_product(a, b, subscripts=None):
+        counts["products"] += 1
+        return product(a, b, subscripts)
+
+    monkeypatch.setattr(jets, "_convolve", counted_convolve)
+    monkeypatch.setattr(jets, "_product", counted_product)
+    return counts
+
+
 class TestWork:
-    """Each product runs at the budget its result is read at."""
+    """Each product runs at the budget its result is read at, in the space
+    of its operands' supports."""
+
+    # per default metric, at most so many products and pairs x components
+    # (funk: 88 and 3.09e6 when written; 5.98e6 when every product ran in
+    # its budget space and g_inv was inverted at chart - (0, 2))
+    VERIFY_WORK = {
+        "euclidean": (79, 1.04e5),
+        "riemannian_space_form(kappa=1)": (83, 2.95e6),
+        "riemannian_space_form(kappa=-1)": (83, 2.95e6),
+        "funk": (88, 3.10e6),
+        "randers_pflat": (82, 2.39e6),
+        "perturbed_riemannian(seed=0)": (94, 2.98e6),
+    }
 
     def test_products_and_pair_volume(self, monkeypatch):
-        """One funk point with every suite makes at most 97 products over
-        at most 6.0e6 coefficient pairs x components (88 and 5.44e6 when
-        written; 160 and 1.50e7 when phi, hbar, k and Ntensor multiplied at
-        the chart's budget and the jet inverse multiplied by constants)."""
-        work = []
-        mul, einsum = Jet.__mul__, engine.jet_einsum
+        """One point per default metric with every suite; prints the true
+        counts, which do not depend on timing."""
+        for metric in catalog.default_metrics(3):
+            counts = count_work(monkeypatch)
+            cj = chart(metric, P, *SUITES)
+            for suite in SUITES.values():
+                suite(cj)
+            print(f"verify {metric.name}: {counts['products']} products, "
+                  f"{counts['pairs']:,} pairs x components")
+            products, pairs = self.VERIFY_WORK[metric.name]
+            assert counts["products"] <= products
+            assert counts["pairs"] <= pairs
 
-        def counted_mul(self, other):
-            out = mul(self, other)
-            if isinstance(other, Jet):
-                work.append(len(out.space.mI) * math.prod(out.shape))
-            return out
+    def test_perturbed_riemannian_L_pair_volume(self, monkeypatch):
+        """Its L multiplies x-only sines by y-only monomials, so only its
+        final sqrt runs at the full (3, 7) budget: at most 5e5 pairs x
+        components (5.29e6 when every product and series ran there)."""
+        counts = count_work(monkeypatch)
+        xs, ys = get_space(3, 3, 7).seed(P.x, P.y)
+        catalog.perturbed_riemannian(3).evaluate(xs, ys)
+        print(f"L of perturbed_riemannian at (3, 7): {counts['pairs']:,} "
+              "pairs x components")
+        assert counts["pairs"] <= 5e5
 
-        def counted_einsum(subscripts, a, b):
-            out = einsum(subscripts, a, b)
-            s1, s2 = subscripts.split("->")[0].split(",")
-            extent = dict(zip(s1, a.shape))
-            extent.update(zip(s2, b.shape))
-            work.append(len(out.space.mI) * math.prod(extent.values()))
-            return out
-
-        monkeypatch.setattr(Jet, "__mul__", counted_mul)
-        monkeypatch.setattr(Jet, "__rmul__", counted_mul)
-        monkeypatch.setattr(engine, "jet_einsum", counted_einsum)
-        cj = chart(catalog.funk(3), P, *SUITES)
-        for suite in SUITES.values():
-            suite(cj)
-        assert len(work) <= 97
-        assert sum(work) <= 6.0e6
-
-    @pytest.mark.parametrize("attr", ["phi", "hbar", "k", "Ntensor", "B",
-                                      "A"])
+    @pytest.mark.parametrize("attr", ["g_inv", "G", "phi", "hbar", "k",
+                                      "Ntensor", "B", "A"])
     def test_attribute_budgets(self, attr):
         """Multiplying at a lower budget leaves every attribute's own
         budget at the chart's minus its required orders."""

@@ -426,6 +426,80 @@ class TestTruncation:
                 op()
 
 
+def _scaled(jet):
+    """jet scaled to coefficients of at most 1, so a chain of series
+    stays finite."""
+    return jet * (1.0 / max(1.0, float(np.abs(jet.c).max())))
+
+
+def _positive(jet):
+    """jet shifted to a constant term of at least 1."""
+    return jet + (abs(jet.value()) + 1.0)
+
+
+def _matrix(a, b):
+    """A well-conditioned 2x2 matrix jet of two scaled jets."""
+    return jstack([jstack([a + 3.0, b]), jstack([0.5 * b, a - 4.0])])
+
+
+# each op takes two jets of the pool and an integer k
+SUPPORT_OPS = {
+    "+": lambda a, b, k: a + b,
+    "-": lambda a, b, k: a - b,
+    "*": lambda a, b, k: a * b,
+    "reciprocal": lambda a, b, k: _positive(a).reciprocal(),
+    "sqrt": lambda a, b, k: sqrt(_positive(a)),
+    "exp": lambda a, b, k: exp(a),
+    "log": lambda a, b, k: log(_positive(a)),
+    "sin": lambda a, b, k: sin(a),
+    "cos": lambda a, b, k: cos(a),
+    "jpow": lambda a, b, k: jpow(_positive(a), 0.37),
+    "dx": lambda a, b, k: a.dx(k % a.space.n) if a.space.px else a,
+    "dy": lambda a, b, k: a.dy(k % a.space.n) if a.space.py else a,
+    "restrict": lambda a, b, k: restrict(a, k % (a.space.px + 1),
+                                         k // 4 % (a.space.py + 1)),
+    "jstack": lambda a, b, k: jstack([a, b, a * b])[k % 3],
+    "jet_einsum": lambda a, b, k: jet_einsum(
+        "ij,j->i", _matrix(a, b), jstack([b, a]))[k % 2],
+    "jet_matrix_inverse": lambda a, b, k: jet_matrix_inverse(
+        _matrix(a, b))[k % 2, k // 2 % 2],
+}
+
+
+def run_program(program, leaves):
+    """Every jet of the pool that ``program`` grows from ``leaves``: each
+    step applies one op to two pool jets (indices taken modulo the pool)."""
+    pool = list(leaves)
+    for name, i, j, k in program:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        pool.append(_scaled(SUPPORT_OPS[name](a, b, k)))
+    return pool
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 7),
+       st.lists(st.tuples(st.sampled_from(sorted(SUPPORT_OPS)),
+                          st.integers(0, 99), st.integers(0, 99),
+                          st.integers(0, 99)), min_size=1, max_size=10))
+def test_support_is_sound(n, px, py, program):
+    """Random expression trees over seeded x- and y-jets: every coefficient
+    outside a jet's support is exactly 0.0, and each jet equals the one the
+    same tree gives from full-support seeds, Jet(sp, seed.c.copy())."""
+    sp = get_space(n, px, py)
+    xs, ys = sp.seed(P.x[:n], P.y[:n])
+    seeds = xs + ys + [sp.constant(0.25)]
+    full = [Jet(sp, seed.c.copy()) for seed in seeds]
+    for jet, dense in zip(run_program(program, seeds),
+                          run_program(program, full)):
+        sx, sy = jet.support
+        assert sx <= jet.space.px and sy <= jet.space.py
+        block = get_space(n, sx, sy)
+        grid = jet.c.reshape(jet.space.NX, jet.space.NY)
+        assert not grid[block.NX:].any() and not grid[:, block.NY:].any()
+        assert dense.space is jet.space
+        assert np.array_equal(jet.c, dense.c)
+
+
 @pytest.mark.parametrize("n, px, py", [(2, 3, 4), (2, 0, 3), (3, 2, 3),
                                        (3, 1, 0), (4, 1, 2), (4, 2, 1)])
 def test_pair_table_brute_force(n, px, py):
