@@ -32,7 +32,8 @@ holds K, so only the sign of a zero differs from the full table.
 Elementary functions (reciprocal, sqrt, powers, exp, log, sin, cos) are
 solved degree by degree: each solves a first-order equation in the Euler
 operator, so its coefficients of total degree d follow from those below
-d, at about the cost of one product (``_solve``).
+d, at about the cost of one product (``_solve``).  So is the inverse of
+a matrix jet, from M V = I (``jet_matrix_inverse``).
 
 Coefficient arrays have shape ``(T, *trailing)`` where T is the number of
 monomials of the jet's own budget; the trailing axes hold tensor
@@ -357,15 +358,14 @@ class Jet:
         return _solve(self, 1.0 / u0, u0, -1.0, -1.0)
 
 
-def _convolve(I, J, starts, a, b, subscripts=None):
+def _convolve(I, J, starts, a, b, op=np.multiply):
     """The kernel of products and series: per pair group from ``starts``,
-    sum a[I] b[J] (or einsum ``subscripts``); np.take is faster than a[I]."""
-    a, b = np.take(a, I, axis=0), np.take(b, J, axis=0)
-    prod = a * b if subscripts is None else np.einsum(subscripts, a, b)
+    sum op(a[I], b[J]); np.take is faster than a[I]."""
+    prod = op(np.take(a, I, axis=0), np.take(b, J, axis=0))
     return np.add.reduceat(prod, starts, axis=0)
 
 
-def _product(a, b, subscripts=None):
+def _product(a, b, op=np.multiply):
     """a times b at the budget they share, run in the space of the sum of
     their supports on the operands' blocks of it."""
     a, b = shared([a, b])
@@ -373,8 +373,8 @@ def _product(a, b, subscripts=None):
     sub = get_space(sp.n, min(a.support[0] + b.support[0], sp.px),
                     min(a.support[1] + b.support[1], sp.py))
     a, b = restrict(a, sub.px, sub.py), restrict(b, sub.px, sub.py)
-    ca, cb = (a.c, b.c) if subscripts else _align(a.c, b.c)
-    c = _convolve(sub.mI, sub.mJ, sub.red_starts, ca, cb, subscripts)
+    ca, cb = _align(a.c, b.c) if op is np.multiply else (a.c, b.c)
+    c = _convolve(sub.mI, sub.mJ, sub.red_starts, ca, cb, op)
     return _widen(c, sub, sp)
 
 
@@ -498,33 +498,27 @@ def jet_einsum(subscripts, a, b):
     """Einsum over trailing (component) axes of two jets, convolving the
     Taylor coefficients.  ``subscripts`` uses lowercase labels ('Z' is
     reserved for the coefficient-pair axis)."""
-    lhs, out = subscripts.split("->")
-    s1, s2 = lhs.split(",")
-    return _product(a, b, f"Z{s1},Z{s2}->Z{out}")
+    spec = "Z" + subscripts.replace(",", ",Z").replace("->", "->Z")
+    return _product(a, b, functools.partial(np.einsum, spec))
 
 
 def jet_matrix_inverse(m):
-    """Inverse of a square-matrix-valued jet via Gauss-Jordan elimination
-    with partial pivoting on constant terms, on the augmented rows [m | I].
-    An entry of I stays a Python float until elimination makes it a jet,
-    so a product with 1.0 is a scaling and one with 0.0 is skipped."""
-    n = m.shape[0]
+    """Inverse V of a square-matrix-valued jet M, solved degree by degree
+    from M V = I: V_0 = M_0^-1 and, at a monomial K of degree d,
+
+        V_K = -V_0 sum_{I+J=K, I!=0} M_I V_J,
+
+    which reads V only below degree d: one batched matmul per degree.  As
+    in ``_solve``, an axis M does not depend on stays at order 0.  M_0
+    must be well conditioned, a test that does not depend on M's scale."""
     sp = m.space
-    # work on object grid of scalar jets; n <= 4 so this stays cheap
-    a = [[m[i, j] for j in range(n)] + [float(i == j) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].c[0]))
-        if abs(a[piv][col].c[0]) < 1e-14:
-            raise EvalDomainError("singular matrix in jet inversion")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].reciprocal()
-        a[col] = [e * inv if isinstance(e, Jet) or e else e for e in a[col]]
-        for r in range(n):
-            if r != col:
-                f = a[r][col]
-                a[r] = [e - f * p if isinstance(p, Jet) or p else e
-                        for e, p in zip(a[r], a[col])]
-    rows = [[e if isinstance(e, Jet) else sp.constant(e) for e in row[n:]]
-            for row in a]
-    return jstack([jstack([row[j] for row in rows]) for j in range(n)])
+    sx, sy = m.support
+    sub = get_space(sp.n, sp.px if sx else 0, sp.py if sy else 0)
+    mc = restrict(m, sub.px, sub.py).c
+    if not np.isfinite(mc[0]).all() or np.linalg.cond(mc[0]) > 1e14:
+        raise EvalDomainError("singular matrix in jet inversion")
+    v = np.zeros_like(mc)
+    v[0] = np.linalg.inv(mc[0])
+    for K, I, J, starts in sub.graded[1]:
+        v[K] = -v[0] @ _convolve(I, J, starts, mc, v, np.matmul)
+    return _widen(v, sub, sp)

@@ -7,6 +7,10 @@ reference.  A reference changes only when it is regenerated, all at
 once, by running this file from the repository root::
 
     PYTHONPATH=src python tests/refgate.py
+
+``PYTHONPATH=src python tests/refgate.py drift`` writes nothing: it
+reruns every run and prints each one whose record is not byte-identical
+to its reference, with its worst float drift, and a summary line.
 """
 
 import contextlib
@@ -173,18 +177,60 @@ def load(run_id):
     return json.loads(_path(run_id).read_text())
 
 
+def _record(command, backend, config):
+    """The text of a reference file for one run."""
+    record = {"command": command, "backend": backend, "config": config}
+    record.update(run(command, backend, config))
+    return json.dumps(record, indent=1, sort_keys=True) + "\n"
+
+
 def regenerate():
     REFERENCE_DIR.mkdir(exist_ok=True)
     for old in REFERENCE_DIR.glob("*.json"):
         old.unlink()
     for run_id, (command, backend, config) in runs().items():
-        record = {"command": command, "backend": backend, "config": config}
-        record.update(run(command, backend, config))
-        _path(run_id).write_text(
-            json.dumps(record, indent=1, sort_keys=True) + "\n")
+        _path(run_id).write_text(_record(command, backend, config))
     print(f"wrote {len(runs())} reference reports to {REFERENCE_DIR}",
           file=sys.stderr)
 
 
+def float_drifts(backend, ref, new, path=()):
+    """(drift, bound) of each float of ``new`` that has a float at the
+    same place in ``ref``; the drift is |new - ref| / max(1, |ref|)."""
+    if isinstance(ref, dict) and isinstance(new, dict):
+        for key in ref.keys() & new.keys():
+            yield from float_drifts(backend, ref[key], new[key], path + (key,))
+    elif isinstance(ref, list) and isinstance(new, list):
+        for i, (r, v) in enumerate(zip(ref, new)):
+            yield from float_drifts(backend, r, v, path + (i,))
+    elif isinstance(ref, float) and isinstance(new, float):
+        yield abs(new - ref) / max(1.0, abs(ref)), bound(backend, path)
+
+
+def drift():
+    """Rerun every run, write nothing, and print how far each report
+    that is not byte-identical to its reference moved."""
+    all_runs = runs()
+    identical, worst_jet = 0, 0.0
+    for run_id, (command, backend, config) in all_runs.items():
+        text = _record(command, backend, config)
+        if text == _path(run_id).read_text():
+            identical += 1
+            continue
+        drifts = list(float_drifts(backend, load(run_id)["report"],
+                                   json.loads(text)["report"]))
+        worst, b = max(drifts, key=lambda d: d[0] / d[1], default=(0.0, 1.0))
+        print(f"{run_id}: worst float drift {worst:.2g} (bound {b:g})")
+        if backend == "jet":
+            worst_jet = max([worst_jet] + [d for d, _ in drifts])
+    print(f"{identical} of {len(all_runs)} byte-identical; worst jet drift "
+          f"{worst_jet:.2g} (bound {JET_BOUND:g})")
+
+
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] == ["drift"]:
+        drift()
+    elif sys.argv[1:]:
+        sys.exit("usage: refgate.py [drift]")
+    else:
+        regenerate()

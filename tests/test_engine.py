@@ -1,5 +1,6 @@
 """The jet-order table of the per-point pipeline and the identity suites."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,28 +43,47 @@ def test_chart_takes_largest_orders_per_axis(names, orders):
     assert (cj.px, cj.py) == orders
 
 
+@pytest.mark.parametrize("lam", [1e-8, 1e8])
+@pytest.mark.parametrize("metric", catalog.default_metrics(3),
+                         ids=lambda m: m.name)
+def test_rescaling_L(metric, lam):
+    """Under L -> lam L, g^-1 goes as lam^-2 and the spray G is unchanged,
+    to rounding: the jet inverse has no scale of its own."""
+    scaled = dataclasses.replace(
+        metric, evaluate=lambda x, y: lam * metric.evaluate(x, y))
+    base, cj = chart(metric, P, "G"), chart(scaled, P, "G")
+    for ref, new in ((base.g_inv.c, lam ** 2 * cj.g_inv.c),
+                     (base.G.c, cj.G.c)):
+        # relative, except for euclidean's G, which is 0
+        tol = 1e-14 * (np.abs(ref).max() or 1.0)
+        assert np.abs(new - ref).max() <= tol
+
+
 def count_work(monkeypatch):
     """Counters of the jet work that runs: the number of products, and the
-    coefficient pairs x components of every product and series in the
-    space it runs in, recorded by wrapping the one kernel, jets._convolve
-    (an einsum counts every label's extent, contracted ones included)."""
+    coefficient pairs x components of every product, series and inverse
+    in the space it runs in, recorded by wrapping the one kernel,
+    jets._convolve (an einsum counts every label's extent, contracted ones
+    included, and a matmul of n x n matrices n^3)."""
     counts = {"products": 0, "pairs": 0}
     convolve, product = jets._convolve, jets._product
 
-    def counted_convolve(I, J, starts, a, b, subscripts=None):
-        if subscripts is None:
+    def counted_convolve(I, J, starts, a, b, op=np.multiply):
+        if op is np.multiply:
             comps = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+        elif op is np.matmul:
+            comps = a.shape[1:] + b.shape[-1:]
         else:
-            s1, s2 = subscripts.split("->")[0].split(",")
+            s1, s2 = op.args[0].split("->")[0].split(",")
             extent = dict(zip(s1[1:], a.shape[1:]))
             extent.update(zip(s2[1:], b.shape[1:]))
             comps = extent.values()
         counts["pairs"] += len(I) * math.prod(comps)
-        return convolve(I, J, starts, a, b, subscripts)
+        return convolve(I, J, starts, a, b, op)
 
-    def counted_product(a, b, subscripts=None):
+    def counted_product(a, b, op=np.multiply):
         counts["products"] += 1
-        return product(a, b, subscripts)
+        return product(a, b, op)
 
     monkeypatch.setattr(jets, "_convolve", counted_convolve)
     monkeypatch.setattr(jets, "_product", counted_product)
@@ -75,15 +95,16 @@ class TestWork:
     of its operands' supports."""
 
     # per default metric, at most so many products and pairs x components
-    # (funk: 88 and 3.09e6 when written; 5.98e6 when every product ran in
-    # its budget space and g_inv was inverted at chart - (0, 2))
+    # (funk: 46 and 2.84e6 when written; 88 and 3.09e6 when g_inv ran
+    # Gauss-Jordan on jet products; 5.98e6 when every product ran in its
+    # budget space and g_inv was inverted at chart - (0, 2))
     VERIFY_WORK = {
-        "euclidean": (79, 1.04e5),
-        "riemannian_space_form(kappa=1)": (83, 2.95e6),
-        "riemannian_space_form(kappa=-1)": (83, 2.95e6),
-        "funk": (88, 3.10e6),
-        "randers_pflat": (82, 2.39e6),
-        "perturbed_riemannian(seed=0)": (94, 2.98e6),
+        "euclidean": (37, 9.4e4),
+        "riemannian_space_form(kappa=1)": (41, 2.71e6),
+        "riemannian_space_form(kappa=-1)": (41, 2.71e6),
+        "funk": (46, 2.85e6),
+        "randers_pflat": (40, 2.15e6),
+        "perturbed_riemannian(seed=0)": (52, 2.73e6),
     }
 
     def test_products_and_pair_volume(self, monkeypatch):

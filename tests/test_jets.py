@@ -245,6 +245,22 @@ class TestSeries:
             assert np.abs(r.c).max() <= 1e-14
 
 
+_R = np.random.default_rng(5)
+_A2, _B2 = _R.normal(size=(2, 2, 2))
+_A4, _B4 = _R.normal(size=(2, 4, 4))
+# matrix jets of seed()'s variables; "row swap" has the constant term
+# [[0, 1], [1, 0]], on which elimination without pivoting fails
+INVERSE_CASES = {
+    "2x2": lambda xs, ys: jstack([jstack([1.0 + ys[0] * ys[0], xs[0] * ys[1]]),
+                                  jstack([xs[0] * ys[1], 2.0 + ys[1]])]),
+    "4x4": lambda xs, ys: (4.0 * np.eye(4) + xs[0] * ys[1] * _A4
+                           + exp(ys[0] - xs[1]) * _B4),
+    "row swap": lambda xs, ys: (np.array([[0.0, 1.0], [1.0, 0.0]])
+                                + (xs[0] - xs[0].value()) * _A2
+                                + (ys[1] - ys[1].value()) * ys[0] * _B2),
+}
+
+
 class TestTensorStructure:
     def test_stack_and_derivative_axes(self):
         xs, ys = seed()
@@ -262,15 +278,23 @@ class TestTensorStructure:
         manual = ys[0] * ys[1] * exp(xs[0]) + (xs[0] + ys[0]) * ys[1] * 2.0
         np.testing.assert_allclose(dot.c, manual.c, atol=1e-13)
 
-    def test_matrix_inverse(self):
-        xs, ys = seed()
-        m = jstack([jstack([1.0 + ys[0] * ys[0], xs[0] * ys[1]]),
-                    jstack([xs[0] * ys[1], 2.0 + ys[1]])]).tr(1, 0)
-        inv = jet_matrix_inverse(m)
-        prod = jet_einsum("ij,jk->ik", m, inv)
-        np.testing.assert_allclose(prod.c[0], np.eye(2), atol=1e-12)
+    @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
+    @pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+    def test_matrix_inverse(self, case, scale):
+        m = INVERSE_CASES[case](*seed())
+        inv = jet_matrix_inverse(m * scale)
+        prod = jet_einsum("ij,jk->ik", m, inv * scale)
+        np.testing.assert_allclose(prod.c[0], np.eye(m.shape[0]), atol=1e-12)
         # all derivative coefficients of the product vanish
         assert np.abs(prod.c[1:]).max() < 1e-12
+
+    @pytest.mark.parametrize("m0", [[[1.0, 2.0], [2.0, 4.0]],
+                                    [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_singular_matrix_inverse_raises(self, m0):
+        xs, ys = seed()
+        m = np.array(m0) + (xs[0] - xs[0].value()) * ys[1] * np.eye(2)
+        with pytest.raises(EvalDomainError, match="singular"):
+            jet_matrix_inverse(m)
 
     def test_trace_and_transpose(self):
         xs, ys = seed()
