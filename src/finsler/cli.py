@@ -39,7 +39,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .catalog import build_catalog_metric
+from .catalog import _param_ok, build_catalog_metric
 from .dsl import metric_from_dsl
 from .engine import chart
 from .errors import ConfigError, DslError, FinslerError, HomogeneityError
@@ -62,7 +62,7 @@ def _load_config(path):
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an int too long to read
         raise ConfigError(f"malformed config {path}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
@@ -81,15 +81,25 @@ def _build_metric(cfg):
     n = spec.get("dimension", 3)
     if not isinstance(n, int) or n < 2:
         raise ConfigError(f"invalid dimension {n!r}")
+    for key in ("catalog", "dsl", "name"):
+        if not isinstance(spec.get(key, ""), str):
+            raise ConfigError(f"metric {key!r} must be a string, "
+                              f"got {spec[key]!r}")
     if has_catalog:
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("'params' must be an object")
         return build_catalog_metric(spec["catalog"], n, **params)
-    return metric_from_dsl(
-        spec["dsl"], n,
-        name=spec.get("name", "dsl-metric"),
-        constants=spec.get("constants", {}))
+    constants = spec.get("constants", {})
+    if not isinstance(constants, dict):
+        raise ConfigError("'constants' must be an object")
+    for key, value in constants.items():
+        if not _param_ok(value, 0.0):  # the rule of float catalog params
+            raise ConfigError(f"constant {key!r} must be a finite number, "
+                              f"got {value!r}")
+    return metric_from_dsl(spec["dsl"], n,
+                           name=spec.get("name", "dsl-metric"),
+                           constants=constants)
 
 
 def _is_number(v, kinds=(int, float)):
@@ -149,9 +159,15 @@ def _report_stream(cfg, args):
     path = args.out if args.out is not None else cfg.get("output")
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as stream:
-            yield stream
+        return
+    if not isinstance(path, str):
+        raise ConfigError(f"'output' must be a file name, got {path!r}")
+    try:
+        stream = open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot write report {path}: {e}")
+    with stream:
+        yield stream
 
 
 def _emit(stream, obj):
@@ -219,7 +235,7 @@ def cmd_verify(cfg, args):
     if not isinstance(names, list) or not names:
         raise ConfigError("'suites' must be 'all' or a nonempty list")
     for name in names:
-        if name not in SUITES:
+        if not isinstance(name, str) or name not in SUITES:
             raise ConfigError(
                 f"unknown suite {name!r}; known: {sorted(SUITES)}")
     tols = _tolerances(cfg)

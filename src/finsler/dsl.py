@@ -11,15 +11,23 @@ Grammar (conventional infix, whitespace-insensitive)::
 Names: ``x1..xn`` / ``y1..yn`` (coordinate components), the vector
 symbols ``x`` / ``y`` (only as arguments of ``dot``/``norm2``), the
 built-ins ``sqrt(u)``, ``dot(u, v)``, ``norm2(u)``, and named constants
-bound from the run configuration.  Evaluation is generic over floats,
-arrays (elementwise) and jet scalars.  All reported positions are 1-based
-line:column.
+bound from the run configuration.  A name starts with a letter
+(``str.isalpha``) or ``_`` and goes on with letters, digits and ``_``; a
+number is a run of decimal digits and ``.`` with an optional exponent, as
+``float`` reads it.  The tree may be at most ``MAX_DEPTH`` (100) levels
+high, a parenthesis counting as a level: ``y1``, ``(y1)`` and ``1 + 2 +
+3`` are 1, 2 and 3 high.  Evaluation is generic over floats, arrays
+(elementwise) and jet scalars.  Errors carry a 1-based line:column; a
+character or number that cannot be read is reported first, and otherwise
+the first error the parser reads, left to right.
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -31,73 +39,43 @@ from .metric import FinslerMetric, SamplePoint
 # ---------------------------------------------------------------------------
 # tokens
 
+Token = namedtuple("Token", "kind text pos")  # pos: (line, column)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'num', 'name', 'op', 'end'
-    text: str
-    line: int
-    column: int
-
-
-_OPS = set("+-*/^(),")
+# re's \w is str.isalnum() or '_', \s is str.isspace(), and \d is
+# str.isdecimal(): the digits float() reads
+_TOKEN = re.compile(r"""
+    (?P<num>[\d.]+(?:[eE](?:[+-]|(?=\d))[\d.]*)?)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<op>[-+*/^(),])
+  | (?P<newline>\n)
+  | (?P<space>[^\S\n]+)
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
 def _tokenize(source: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(Token("op", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_e = False
-            while j < len(source):
-                c = source[j]
-                if c.isdigit() or c == ".":
-                    j += 1
-                elif c in "eE" and not seen_e and j + 1 < len(source) and (
-                        source[j + 1].isdigit() or source[j + 1] in "+-"):
-                    seen_e = True
-                    j += 2 if source[j + 1] in "+-" else 1
-                else:
-                    break
-            text = source[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise DslSyntaxError(f"malformed number {text!r}",
-                                     line=line, column=col)
-            tokens.append(Token("num", text, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(source) and (source[j].isalnum()
-                                       or source[j] == "_"):
-                j += 1
-            tokens.append(Token("name", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}",
-                             line=line, column=col)
-    tokens.append(Token("end", "", line, col))
+    # numerals of str.isdigit() that \d does not take, such as '²', lex
+    # as digits, and float() rejects them
+    lexed = source.translate({ord(c): "0" for c in set(source)
+                              if c.isdigit() and not c.isdecimal()})
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(lexed):
+        kind, text = m.lastgroup, source[m.start():m.end()]
+        pos = (line, m.start() - line_start + 1)
+        if kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            kind, text = "bad", text[0]  # a numeral such as '½'
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise DslSyntaxError(f"unexpected character {text!r}", *pos)
+        elif kind != "space":
+            if kind == "num":
+                try:
+                    float(text)
+                except ValueError:
+                    raise DslSyntaxError(f"malformed number {text!r}", *pos)
+            tokens.append(Token(kind, text, pos))
+    tokens.append(Token("end", "", (line, len(source) - line_start + 1)))
     return tokens
 
 
@@ -160,12 +138,20 @@ class MetricAst:
 
 _FUNCS = {"sqrt": 1, "dot": 2, "norm2": 1}
 
+MAX_DEPTH = 100  # the tree's height, a parenthesis counting as a level
+
 
 class _Parser:
+    """One pass over the tokens: each method returns a subtree and its
+    height, and the free constants are collected as they are read."""
+
     def __init__(self, tokens, n):
         self.tokens = tokens
         self.i = 0
         self.n = n
+        self.open = 0  # levels around the current operand
+        self.vector_calls = 0  # enclosing dot(...) / norm2(...) calls
+        self.constants = set()
 
     def peek(self):
         return self.tokens[self.i]
@@ -175,145 +161,117 @@ class _Parser:
         self.i += 1
         return t
 
+    def at(self, *texts):
+        return self.peek().text in texts
+
     def expect_op(self, text):
         t = self.next()
-        if t.kind != "op" or t.text != text:
+        if t.text != text:
             raise DslSyntaxError(
                 f"expected {text!r}, found {t.text or 'end of input'!r}",
-                line=t.line, column=t.column)
-        return t
+                *t.pos)
 
-    def parse(self):
-        node = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise DslSyntaxError(f"unexpected trailing input {t.text!r}",
-                                 line=t.line, column=t.column)
-        return node
+    def level(self, t, *heights):
+        """The height of a node at token t over subtrees of these heights."""
+        height = 1 + max(heights, default=0)
+        if height > MAX_DEPTH:
+            raise DslSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", *t.pos)
+        return height
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+    def expr(self, ops="+-*/"):
+        """A left-associative chain over the operators ops[:2]: a sum of
+        terms, and a term a product of unary operands."""
+        node, h = self.expr(ops[2:]) if ops[2:] else self.unary()
+        while self.at(*ops[:2]):
             t = self.next()
-            node = Binary((t.line, t.column), t.text, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            t = self.next()
-            node = Binary((t.line, t.column), t.text, node, self.unary())
-        return node
+            right, hr = self.expr(ops[2:]) if ops[2:] else self.unary()
+            node, h = Binary(t.pos, t.text, node, right), self.level(t, h, hr)
+        return node, h
 
     def unary(self):
+        """unary := '-' unary | atom ('^' unary)?"""
         t = self.peek()
-        if t.kind == "op" and t.text == "-":
+        self.level(t, self.open)  # each open level is one of the tree's
+        self.open += 1
+        if t.text == "-":
             self.next()
-            return Unary((t.line, t.column), "-", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
-            self.next()
-            node = Binary((t.line, t.column), "^", node, self.unary())
-        return node
+            arg, h = self.unary()
+            node, h = Unary(t.pos, "-", arg), self.level(t, h)
+        else:
+            node, h = self.atom()
+            if self.at("^"):
+                t = self.next()
+                right, hr = self.unary()
+                node, h = Binary(t.pos, "^", node, right), self.level(t, h, hr)
+        self.open -= 1
+        return node, h
 
     def atom(self):
         t = self.next()
-        pos = (t.line, t.column)
         if t.kind == "num":
-            return Num(pos, float(t.text))
-        if t.kind == "op" and t.text == "(":
-            node = self.expr()
+            return Num(t.pos, float(t.text)), 1
+        if t.text == "(":
+            node, h = self.expr()
             self.expect_op(")")
-            return node
+            return node, self.level(t, h)
         if t.kind == "name":
-            name = t.text
-            if self.peek().kind == "op" and self.peek().text == "(":
-                return self.call(name, pos)
-            return self.name_atom(name, pos)
+            return self.call(t) if self.at("(") else (self.name_atom(t), 1)
         raise DslSyntaxError(
-            f"expected a value, found {t.text or 'end of input'!r}",
-            line=t.line, column=t.column)
+            f"expected a value, found {t.text or 'end of input'!r}", *t.pos)
 
-    def call(self, name, pos):
+    def call(self, t):
+        name = t.text
         if name not in _FUNCS:
-            raise UnknownIdentifier(f"unknown function {name!r}",
-                                    line=pos[0], column=pos[1])
-        self.expect_op("(")
+            raise UnknownIdentifier(f"unknown function {name!r}", *t.pos)
+        self.next()  # '('
+        vector_call = name in ("dot", "norm2")
+        self.vector_calls += vector_call
         args = [self.expr()]
-        while self.peek().kind == "op" and self.peek().text == ",":
+        while self.at(","):
             self.next()
             args.append(self.expr())
         self.expect_op(")")
+        self.vector_calls -= vector_call
         want = _FUNCS[name]
         if len(args) != want:
             raise ArityError(
-                f"{name} takes {want} argument(s), got {len(args)}",
-                line=pos[0], column=pos[1])
-        if name in ("dot", "norm2"):
-            for a in args:
-                if not isinstance(a, VecRef):
-                    raise ArityError(
-                        f"{name} arguments must be the vector symbols "
-                        "'x' or 'y'", line=pos[0], column=pos[1])
-        return Call(pos, name, tuple(args))
+                f"{name} takes {want} argument(s), got {len(args)}", *t.pos)
+        args, heights = zip(*args)
+        if vector_call and not all(isinstance(a, VecRef) for a in args):
+            raise ArityError(f"{name} arguments must be the vector symbols "
+                             "'x' or 'y'", *t.pos)
+        return Call(t.pos, name, args), self.level(t, *heights)
 
-    def name_atom(self, name, pos):
+    def name_atom(self, t):
+        name = t.text
         if name in ("x", "y"):
-            return VecRef(pos, name)
+            if not self.vector_calls:
+                raise DslSyntaxError(
+                    f"vector symbol {name!r} is only valid inside "
+                    "dot(...) or norm2(...)", *t.pos)
+            return VecRef(t.pos, name)
         if name[0] in "xy" and name[1:].isdigit():
-            idx = int(name[1:])
+            # a numeral int() rejects, such as x², is out of range too
+            idx = int(name[1:]) if name[1:].isdecimal() else 0
             if not 1 <= idx <= self.n:
                 raise IndexOutOfRange(
-                    f"{name}: index must be in 1..{self.n}",
-                    line=pos[0], column=pos[1])
-            return Var(pos, name[0], idx - 1)
-        return Const(pos, name)
+                    f"{name}: index must be in 1..{self.n}", *t.pos)
+            return Var(t.pos, name[0], idx - 1)
+        self.constants.add(name)
+        return Const(t.pos, name)
 
 
 def parse_metric(source: str, n: int) -> MetricAst:
     """Parse DSL source into an AST; raises DslSyntaxError /
     UnknownIdentifier / ArityError / IndexOutOfRange with 1-based
     line:column on malformed input."""
-    root = _Parser(_tokenize(source), n).parse()
-    _reject_bare_vectors(root)
-    consts = sorted(_free_constants(root))
-    return MetricAst(root=root, n=n, constants=tuple(consts))
-
-
-def _reject_bare_vectors(node):
-    """VecRef is only meaningful inside dot/norm2."""
-    if isinstance(node, VecRef):
-        raise DslSyntaxError(
-            f"vector symbol {node.group!r} is only valid inside "
-            "dot(...) or norm2(...)",
-            line=node.pos[0], column=node.pos[1])
-    for child in _children(node):
-        _reject_bare_vectors(child)
-
-
-def _children(node):
-    if isinstance(node, Unary):
-        return (node.arg,)
-    if isinstance(node, Binary):
-        return (node.left, node.right)
-    if isinstance(node, Call):
-        if node.func in ("dot", "norm2"):
-            return ()  # VecRef arguments are legitimate here
-        return node.args
-    return ()
-
-
-def _free_constants(node):
-    if isinstance(node, Const):
-        return {node.name}
-    out = set()
-    for child in _children(node):
-        out |= _free_constants(child)
-    return out
+    parser = _Parser(_tokenize(source), n)
+    root, _ = parser.expr()
+    t = parser.peek()
+    if t.kind != "end":
+        raise DslSyntaxError(f"unexpected trailing input {t.text!r}", *t.pos)
+    return MetricAst(root=root, n=n, constants=tuple(sorted(parser.constants)))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,11 @@ class _Group:
         self.place = (maxdeg + 1) ** np.arange(nvars, dtype=np.int64)
         self.key = self.M @ self.place
         self._order = np.argsort(self.key)
+        # formal d/dv for every variable v at once: each monomial src with
+        # v in it goes to monomial dst with multiplier (exponent of v)
+        src, var = np.nonzero(self.M)
+        self.deriv = (src, self.locate(self.key[src] - self.place[var]), var,
+                      self.M[src, var].astype(float))
 
     def locate(self, keys):
         return self._order[np.searchsorted(self.key, keys,
@@ -100,12 +105,6 @@ class _Group:
         deg = self.M.sum(axis=1)
         ia, ib = np.nonzero(deg[:, None] + deg[None, :] <= self.maxdeg)
         return ia, ib, self.locate(self.key[ia] + self.key[ib])
-
-    def deriv_table(self, var):
-        """Formal d/dvar: (src, dst, multiplier) arrays."""
-        src = np.flatnonzero(self.M[:, var])
-        dst = self.locate(self.key[src] - self.place[var])
-        return src, dst, self.M[src, var].astype(float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,9 +144,6 @@ class JetSpace:
         # sorted groups are exactly monomials 0..T-1, in order
         counts = np.bincount(K, minlength=self.T)
         self.red_starts = np.cumsum(counts) - counts
-
-        self.xderiv = [gx.deriv_table(q) for q in range(n)]
-        self.yderiv = [gy.deriv_table(q) for q in range(n)]
 
     @functools.cached_property
     def graded(self):
@@ -327,28 +323,10 @@ class Jet:
 
     # ---- formal differentiation --------------------------------------
     def dx(self, q):
-        sp = self.space
-        if sp.px <= 0:
-            raise OrderUnsupported("x-derivative budget exhausted")
-        sub = get_space(sp.n, sp.px - 1, sp.py)
-        cc = self.c.reshape((sp.NX, sp.NY) + self.shape)
-        out = np.zeros((sub.NX,) + cc.shape[1:])
-        src, dst, mul = sp.xderiv[q]
-        out[dst] = cc[src] * mul.reshape((-1,) + (1,) * (cc.ndim - 1))
-        return Jet(sub, out.reshape((sub.T,) + self.shape),
-                   (max(self.support[0] - 1, 0), self.support[1]))
+        return d_x(self)[..., q]
 
     def dy(self, q):
-        sp = self.space
-        if sp.py <= 0:
-            raise OrderUnsupported("y-derivative budget exhausted")
-        sub = get_space(sp.n, sp.px, sp.py - 1)
-        cc = self.c.reshape((sp.NX, sp.NY) + self.shape)
-        out = np.zeros((sp.NX, sub.NY) + cc.shape[2:])
-        src, dst, mul = sp.yderiv[q]
-        out[:, dst] = cc[:, src] * mul.reshape((-1,) + (1,) * (cc.ndim - 2))
-        return Jet(sub, out.reshape((sub.T,) + self.shape),
-                   (self.support[0], max(self.support[1] - 1, 0)))
+        return d_y(self)[..., q]
 
     # ---- analytic functions ------------------------------------------
     def reciprocal(self):
@@ -484,14 +462,33 @@ def jstack(jets):
                tuple(map(max, zip(*(j.support for j in jets)))))
 
 
+def _derivatives(jet, axis):
+    """All n formal derivatives along one variable group (axis 0: x, 1:
+    y), on a new last trailing axis: one order lower on that axis, and
+    support one lower."""
+    sp = jet.space
+    orders, support = [sp.px, sp.py], list(jet.support)
+    if orders[axis] <= 0:
+        raise OrderUnsupported(f"{'xy'[axis]}-derivative budget exhausted")
+    src, dst, var, mul = _group(sp.n, orders[axis]).deriv
+    orders[axis] -= 1
+    support[axis] = max(support[axis] - 1, 0)
+    sub = get_space(sp.n, *orders)
+    cc = np.moveaxis(jet.c.reshape((sp.NX, sp.NY) + jet.shape), axis, 0)
+    out = np.zeros((sub.NX, sub.NY) + jet.shape + (sp.n,))
+    np.moveaxis(out, axis, 0)[dst, ..., var] = (
+        cc[src] * mul.reshape((-1,) + (1,) * (cc.ndim - 1)))
+    return Jet(sub, out.reshape((sub.T,) + out.shape[2:]), tuple(support))
+
+
 def d_x(jet):
     """All x-derivatives, appended as a new last trailing axis."""
-    return jstack([jet.dx(q) for q in range(jet.space.n)])
+    return _derivatives(jet, 0)
 
 
 def d_y(jet):
     """All y-derivatives, appended as a new last trailing axis."""
-    return jstack([jet.dy(q) for q in range(jet.space.n)])
+    return _derivatives(jet, 1)
 
 
 def jet_einsum(subscripts, a, b):

@@ -80,7 +80,7 @@ class FinslerMetric:
             if not isinstance(L, jets.Jet):  # L is constant in y
                 L = sp.constant(L)
             val = L.value()
-            euler = sum(p.y[q] * L.dy(q).value() for q in range(self.n))
+            euler = jets.d_y(L).value() @ p.y
             if abs(euler - val) > 1e-8 * max(abs(val), 1.0):
                 raise HomogeneityError(
                     f"{self.name}: y.dL/dy = {euler:.6g} but L = {val:.6g} "

@@ -10,6 +10,9 @@ import finsler
 from finsler.cli import main
 
 
+RANDERS_B = "sqrt(norm2(y)) + b * dot(x, y)"
+
+
 def write_config(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -178,6 +181,17 @@ class TestConfigValidation:
     def test_missing_file(self, capsys):
         assert main(["verify", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b'{"sampling": {"seed": ' + b"9" * 5000 + b"}}", b'{"name": "\xff"}',
+    ], ids=["integer-too-long", "not-utf8"])
+    def test_unreadable_config_error(self, tmp_path, capsys, content):
+        """JSON that json.load cannot read, however it fails, is a config
+        error."""
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: malformed")
+
     def test_both_metric_sources(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "metric": {"catalog": "funk", "dsl": "sqrt(norm2(y))",
@@ -240,6 +254,23 @@ class TestConfigValidation:
         {"tolerances": {"default": 10 ** 400}},
         {"metric": {"catalog": "riemannian_space_form", "dimension": 3,
                     "params": {"kappa": 10 ** 400}}},
+        {"suites": [["lemma21"]]},
+        {"metric": {"catalog": ["funk"], "dimension": 3}},
+        {"metric": {"catalog": {"funk": 1}, "dimension": 3}},
+        {"metric": {"dsl": 5, "dimension": 3}},
+        {"metric": {"dsl": RANDERS_B, "dimension": 3,
+                    "constants": {"b": "x"}}},
+        {"metric": {"dsl": RANDERS_B, "dimension": 3,
+                    "constants": {"b": None}}},
+        {"metric": {"dsl": RANDERS_B, "dimension": 3,
+                    "constants": {"b": 10 ** 400}}},
+        {"metric": {"dsl": RANDERS_B, "dimension": 3,
+                    "constants": {"b": True}}},
+        {"metric": {"dsl": RANDERS_B, "dimension": 3, "constants": "b"}},
+        {"metric": {"dsl": "sqrt(norm2(y))", "dimension": 3, "name": 5}},
+        {"output": ["r.jsonl"]},
+        {"output": True},
+        {"output": 1},
     ], ids=["seed-string", "seed-float", "seed-negative", "count-bool",
             "radius-bool", "radius-infinity", "radius-1e308",
             "radius-square-overflow", "radius-huge-int", "tolerance-bool",
@@ -247,7 +278,10 @@ class TestConfigValidation:
             "param-kappa-string", "param-kappa-bool", "param-kappa-nan",
             "param-seed-string", "param-seed-bool", "param-seed-float",
             "param-seed-negative", "param-eps-string", "tolerance-huge-int",
-            "kappa-huge-int"])
+            "kappa-huge-int", "suite-list", "catalog-list", "catalog-object",
+            "dsl-number", "constant-string", "constant-null",
+            "constant-huge-int", "constant-bool", "constants-string",
+            "name-number", "output-list", "output-bool", "output-int"])
     def test_bad_value_config_error(self, tmp_path, capsys, change):
         cfg = {"metric": {"catalog": "funk", "dimension": 3},
                "sampling": {"count": 1, "seed": 0}}
@@ -255,6 +289,28 @@ class TestConfigValidation:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["verify", "--config", path]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("via", ["--out", "output"])
+    def test_unwritable_report_config_error(self, tmp_path, capsys, via):
+        path = str(tmp_path / "missing" / "r.jsonl")
+        cfg = {"metric": {"catalog": "funk", "dimension": 3},
+               "sampling": {"count": 1, "seed": 0}}
+        argv = ["--out", path] if via == "--out" else []
+        if via == "output":
+            cfg["output"] = path
+        config = write_config(tmp_path, "c.json", cfg)
+        assert main(["tensors", "--config", config] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write report {path}")
+
+    def test_deep_dsl_config_error(self, tmp_path, capsys):
+        """An expression nested past the parser's bound is a config error,
+        not a RecursionError."""
+        cfg = write_config(tmp_path, "c.json", {"metric": {
+            "dsl": "(" * 400 + "y1" + ")" * 400, "dimension": 3}})
+        assert main(["tensors", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "nested deeper" in err
 
     @pytest.mark.parametrize("key,code", [("bianchy", 2), ("bianchi", 1)],
                              ids=["misspelled-suite", "suite"])

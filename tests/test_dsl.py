@@ -5,15 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsler import catalog
-from finsler.dsl import (ast_to_source, eval_ast, metric_from_dsl,
-                         parse_metric)
+from finsler.dsl import (MAX_DEPTH, MetricAst, ast_to_source, eval_ast,
+                         metric_from_dsl, parse_metric)
 from finsler.engine import chart
 from finsler.fdpipe import FDPipeline
 from finsler.jets import get_space
-from finsler.errors import (ArityError, DomainError, DslSyntaxError,
-                            EvalDomainError, HomogeneityError,
+from finsler.errors import (ArityError, DomainError, DslError,
+                            DslSyntaxError, EvalDomainError, HomogeneityError,
                             IndexOutOfRange, UnknownIdentifier)
 from finsler.metric import FinslerMetric, SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
@@ -65,6 +67,63 @@ class TestParsing:
     def test_bare_vector_rejected(self):
         with pytest.raises(DslSyntaxError):
             parse_metric("x + y1", 3)
+
+    def test_bare_vector_reported_in_source_order(self):
+        """A bare vector is rejected as it is read, before a later error."""
+        with pytest.raises(DslSyntaxError, match="vector symbol 'x'") as info:
+            parse_metric("x + y9", 3)
+        assert (info.value.line, info.value.column) == (1, 1)
+        # inside dot/norm2 at any depth the vector is an argument, and the
+        # call reports it
+        with pytest.raises(ArityError):
+            parse_metric("dot(sqrt(x), y)", 3)
+
+    def test_constants_collected(self):
+        ast = parse_metric("b * sqrt(norm2(y)) + a * dot(x, y) / a", 3)
+        assert ast.constants == ("a", "b")
+
+    @pytest.mark.parametrize("src,error,message", [
+        ("\u00b2", DslSyntaxError, "1:1: malformed number '\u00b2'"),
+        ("y1 + 1\u00b2", DslSyntaxError, "1:6: malformed number '1\u00b2'"),
+        ("\u00bd + y1", DslSyntaxError, "1:1: unexpected character '\u00bd'"),
+        ("x\u00b2", IndexOutOfRange, "1:1: x\u00b2: index must be in 1..3"),
+    ], ids=["superscript", "superscript-in-number", "fraction",
+            "superscript-index"])
+    def test_unicode_numerals(self, src, error, message):
+        """A numeral str.isdigit() takes but float() does not is a
+        malformed number, and one it does not take cannot start a name."""
+        with pytest.raises(error) as info:
+            parse_metric(src, 3)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_unicode_names_and_digits(self):
+        ast = parse_metric("\u00e9 * y\u0663 + _c", 3)
+        assert ast == parse_metric("\u00e9 * y3 + _c", 3)
+        assert ast.constants == ("_c", "\u00e9")
+
+    @pytest.mark.parametrize("src", [
+        "(" * 400 + "y1" + ")" * 400, "-" * 2000 + "y1",
+        "sqrt(norm2(y))" + " + 0 * y1" * 3000,
+    ], ids=["parentheses", "unary-minus", "long-sum"])
+    def test_nesting_bound(self, src):
+        with pytest.raises(DslSyntaxError, match="nested deeper than"):
+            metric_from_dsl(src, 3)
+
+    def test_nesting_bound_is_the_tree_height(self):
+        """A tree MAX_DEPTH high parses, evaluates on jets and prints; one
+        level more is rejected at the token that passes the bound."""
+        deep = "(" * (MAX_DEPTH - 1) + "y1" + ")" * (MAX_DEPTH - 1)
+        assert parse_metric(deep, 3) == parse_metric("y1", 3)
+        # sqrt(norm2(y)) is 3 high, and each '+' adds a level
+        chain = "sqrt(norm2(y))" + " + 0 * y1" * (MAX_DEPTH - 3)
+        ast = parse_metric(chain, 3)
+        assert parse_metric(ast_to_source(ast), 3) == ast
+        metric = metric_from_dsl(chain, 3)
+        p = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
+        assert chart(metric, p, "k").k.value() == pytest.approx(0, abs=1e-12)
+        with pytest.raises(DslSyntaxError) as info:
+            parse_metric(chain + " + 0 * y1", 3)
+        assert (info.value.line, info.value.column) == (1, len(chain) + 2)
 
     def test_precedence(self):
         ast = parse_metric("1 + 2 * y1 ^ 2", 3)
@@ -289,3 +348,26 @@ class TestMetricConstruction:
                        "EvalDomainError: sqrt of a negative value"):
             assert any(f"({reason})" in t for t in text), reason
         assert all(t.startswith("patchy: rejected sample draw") for t in text)
+
+
+_PIECES = ["x", "y", "x1", "y2", "y3", "y4", "x0", "a", "b", "sqrt", "dot",
+           "norm2", "foo", "1", "2.5", "1e-3", "1e", ".", "+", "-", "*", "/",
+           "^", "(", ")", ",", " ", "\n", "(" * 250, "-" * 1200, "\u00b2", "@"]
+
+
+@given(st.one_of(
+    st.text(alphabet="xy0123456789.eE+-*/^(), \n_abdmnoqrst\u00b2\u00bd@",
+            max_size=40),
+    st.lists(st.sampled_from(_PIECES), max_size=80).map("".join)))
+@settings(max_examples=300, deadline=None)
+def test_parse_returns_ast_or_typed_error(src):
+    """Any text over the language's alphabet parses, or raises a DslError
+    whose line:column lies in the source (or just past a line's end)."""
+    try:
+        ast = parse_metric(src, 3)
+    except DslError as e:
+        lines = src.split("\n")
+        assert 1 <= e.line <= len(lines)
+        assert 1 <= e.column <= len(lines[e.line - 1]) + 1
+    else:
+        assert isinstance(ast, MetricAst)
