@@ -155,7 +155,8 @@ def _tolerances(cfg):
 @contextmanager
 def _report_stream(cfg, args):
     """The report file named by --out or the config's "output", closed
-    on exit; standard output when neither is given."""
+    on exit; standard output when neither is given.  Commands enter it
+    before any work, so a bad path fails at once."""
     path = args.out if args.out is not None else cfg.get("output")
     if path is None:
         yield sys.stdout
@@ -200,9 +201,9 @@ def cmd_tensors(cfg, args):
     metric = _build_metric(cfg)
     spec = _sampling(cfg, args)
     backend = _backend(cfg, args)
-    points = sample_points(metric, spec)
-    fd = FDPipeline(metric)
     with _report_stream(cfg, args) as stream:
+        points = sample_points(metric, spec)
+        fd = FDPipeline(metric)
         _emit(stream, _header("tensors", cfg, metric, spec, backend))
         for idx, p in enumerate(points):
             if backend == "jet":
@@ -241,11 +242,9 @@ def cmd_verify(cfg, args):
     tols = _tolerances(cfg)
     default_tol = tols.get("default", DEFAULT_TOL)
 
-    points = sample_points(metric, spec)
-    records = run_suites(metric, points, names)
-
     failed = False
     with _report_stream(cfg, args) as stream:
+        records = run_suites(metric, sample_points(metric, spec), names)
         _emit(stream, _header("verify", cfg, metric, spec, "jet"))
         summary = {}
         for rec in records:
@@ -267,8 +266,8 @@ def cmd_classify(cfg, args):
     metric = _build_metric(cfg)
     spec = _sampling(cfg, args)
     backend = _backend(cfg, args)
-    report = classify(metric, spec, backend=backend)
     with _report_stream(cfg, args) as stream:
+        report = classify(metric, spec, backend=backend)
         _emit(stream, _header("classify", cfg, metric, spec, backend))
         _emit(stream, asdict(report))
     if report.verdict == "constant":

@@ -34,7 +34,8 @@ from .metric import FinslerMetric, SamplePoint
 _LETTERS = "abcdefgh"
 
 # minimum jet orders (px, py) each pipeline attribute and each identity
-# suite of finsler.suites needs; the single source of jet orders
+# suite of finsler.suites needs; the single source of jet orders.  An
+# attribute that only suites read is built at their budget, not the chart's
 REQUIRED_ORDERS = {
     "L": (0, 0), "E": (0, 0), "ell": (0, 1), "g": (0, 2), "g_inv": (1, 2),
     "phi": (0, 1), "hbar": (0, 2), "G": (1, 2), "N": (1, 3),
@@ -47,6 +48,11 @@ REQUIRED_ORDERS = {
     "theorem21": (2, 6), "corollary21": (2, 6), "prop21": (2, 6),
     "lemma31": (2, 7), "bianchi": (3, 5),
 }
+
+
+def _values(*jets):
+    """The jets at budget (0, 0), for attributes suites read only as values."""
+    return [restrict(j, 0, 0) for j in jets]
 
 
 def chart(metric: FinslerMetric, p: SamplePoint, *names) -> ChartJets:
@@ -106,9 +112,8 @@ class ChartJets:
 
     @cached_property
     def phi(self):
-        # 1/L at the chart's budget: its series reads the table of the
-        # metric's own series, where one at ell's budget would build another
-        return self._phi(self.L)
+        # suites read its value and its first fiber derivative
+        return self._phi(restrict(self.L, 0, 1))
 
     def _phi(self, L):
         """phi = I - y (x) (ell / L), at the budget of ell or of L (the jet
@@ -118,7 +123,7 @@ class ChartJets:
 
     @cached_property
     def hbar(self):
-        ell, g = shared([self.ell, self.g])
+        ell, g = _values(self.ell, self.g)
         return g - jet_einsum("i,j->ij", ell, ell)
 
     # ---- spray and connection ----------------------------------------
@@ -211,10 +216,9 @@ class ChartJets:
             m = jet_einsum(f"{src[t]}{dst[t]},{m_sub}->{out}", phi, m)
         return m
 
-    # Ntensor and F are read at B's budget, so every product runs there
     @cached_property
     def Ntensor(self):
-        B, k, ell, C, g = shared([self.B, self.k, self.ell, self.C, self.g])
+        B, k, ell, C, g = _values(self.B, self.k, self.ell, self.C, self.g)
         lC = jet_einsum("x,y->xy", ell, C)
         Cl = lC.tr(1, 0)
         core = g + jet_einsum("x,y->xy", ell, ell)
@@ -222,7 +226,7 @@ class ChartJets:
 
     @cached_property
     def F(self):
-        B, C, ell = shared([self.B, self.C, self.ell])
+        B, C, ell = _values(self.B, self.C, self.ell)
         Cl = jet_einsum("x,y->xy", C, ell)
         return (1.0 / 3.0) * (B + 2.0 * Cl)
 
@@ -235,4 +239,4 @@ class ChartJets:
 
     @cached_property
     def R_low(self):
-        return jet_einsum("iw,ixyz->xyzw", self.g, self.R)
+        return jet_einsum("iw,ixyz->xyzw", *_values(self.g, self.R))

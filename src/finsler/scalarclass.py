@@ -106,7 +106,8 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
                 f"constancy criteria disagree on {metric.name}: "
                 f"|C|={max_c:.3e}, |B|={max_b:.3e}, |A|={max_a:.3e} "
                 f"at tolerance {tol:g}")
-        if c_vanishes != k_steady and is_scalar:
+        # the spread of one k value is always 0
+        if c_vanishes != k_steady and is_scalar and len(ks) > 1:
             raise InternalInconsistency(
                 f"C-criterion and k-spread witness disagree on "
                 f"{metric.name}: |C|={max_c:.3e}, std(k)={k_std:.3e}")

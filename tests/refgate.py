@@ -11,9 +11,15 @@ once, by running this file from the repository root::
 ``PYTHONPATH=src python tests/refgate.py drift`` writes nothing: it
 reruns every run and prints each one whose record is not byte-identical
 to its reference, with its worst float drift, and a summary line.
+
+``PYTHONPATH=src python tests/refgate.py digest`` writes nothing either:
+it reruns every run and prints the sha256 of each record (exit code,
+standard output, standard error and report), then one digest of them
+all, so two commits can be compared byte for byte.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -227,10 +233,24 @@ def drift():
           f"{worst_jet:.2g} (bound {JET_BOUND:g})")
 
 
+def digest():
+    """Rerun every run, write nothing, and print the sha256 of each
+    record and a combined digest of those lines."""
+    combined = hashlib.sha256()
+    for run_id, (command, backend, config) in runs().items():
+        text = _record(command, backend, config)
+        line = f"{run_id} {hashlib.sha256(text.encode()).hexdigest()}\n"
+        print(line, end="")
+        combined.update(line.encode())
+    print(f"combined {combined.hexdigest()}")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["drift"]:
         drift()
+    elif sys.argv[1:] == ["digest"]:
+        digest()
     elif sys.argv[1:]:
-        sys.exit("usage: refgate.py [drift]")
+        sys.exit("usage: refgate.py [drift | digest]")
     else:
         regenerate()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import finsler
+from finsler import cli
 from finsler.cli import main
 
 
@@ -167,6 +168,19 @@ class TestClassify:
         assert "randers_pflat: scalar" in printed
         assert "nonconstant" in printed
 
+    @pytest.mark.parametrize("catalog,verdict", [
+        ("randers_pflat", "scalar"), ("funk", "constant")])
+    def test_one_sample(self, tmp_path, capsys, catalog, verdict):
+        """One sample has no k spread to witness constancy, so only C
+        decides."""
+        cfg = write_config(tmp_path, "c.json", {
+            "metric": {"catalog": catalog, "dimension": 3},
+            "sampling": {"count": 1, "seed": 0},
+        })
+        assert main(["classify", "--config", cfg, "--backend", "jet"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith(f"{catalog}: {verdict} ")
+
     def test_euclidean_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "e.json", {
             "metric": {"catalog": "euclidean", "dimension": 3},
@@ -300,6 +314,22 @@ class TestConfigValidation:
             cfg["output"] = path
         config = write_config(tmp_path, "c.json", cfg)
         assert main(["tensors", "--config", config] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write report {path}")
+
+    @pytest.mark.parametrize("command", ["tensors", "verify", "classify"])
+    def test_unwritable_report_before_work(self, tmp_path, capsys,
+                                           monkeypatch, command):
+        """The report path is opened before any point is sampled."""
+        def work(*args, **kwargs):
+            raise AssertionError("sampled before the report path was opened")
+
+        monkeypatch.setattr(cli, "sample_points", work)
+        monkeypatch.setattr(cli, "classify", work)
+        path = str(tmp_path / "missing" / "r.jsonl")
+        config = write_config(tmp_path, "c.json", {
+            "metric": {"catalog": "funk", "dimension": 3}})
+        assert main([command, "--config", config, "--out", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write report {path}")
 

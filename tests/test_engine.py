@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from finsler import catalog, jets
+from finsler import catalog, engine, jets
 from finsler.engine import REQUIRED_ORDERS, ChartJets, chart
 from finsler.errors import OrderUnsupported
-from finsler.jets import get_space
+from finsler.jets import d_y, get_space, shared
 from finsler.metric import SamplePoint
 from finsler.suites import SUITES
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
+P4 = SamplePoint([0.1, -0.2, 0.15, 0.05], [0.7, -0.3, 1.1, 0.4])
 
 
 def evaluate(name, cj):
@@ -97,14 +98,16 @@ class TestWork:
     # per default metric, at most so many products and pairs x components
     # (funk: 46 and 2.84e6 when written; 88 and 3.09e6 when g_inv ran
     # Gauss-Jordan on jet products; 5.98e6 when every product ran in its
-    # budget space and g_inv was inverted at chart - (0, 2))
+    # budget space and g_inv was inverted at chart - (0, 2); 2.85e6 when
+    # phi, hbar, Ntensor, F and R_low were built at the chart's budget
+    # though suites read only their values and phi's first y-derivative)
     VERIFY_WORK = {
-        "euclidean": (37, 9.4e4),
-        "riemannian_space_form(kappa=1)": (41, 2.71e6),
-        "riemannian_space_form(kappa=-1)": (41, 2.71e6),
-        "funk": (46, 2.85e6),
-        "randers_pflat": (40, 2.15e6),
-        "perturbed_riemannian(seed=0)": (52, 2.73e6),
+        "euclidean": (37, 7.1e4),
+        "riemannian_space_form(kappa=1)": (41, 1.24e6),
+        "riemannian_space_form(kappa=-1)": (41, 1.24e6),
+        "funk": (46, 1.38e6),
+        "randers_pflat": (40, 9.1e5),
+        "perturbed_riemannian(seed=0)": (52, 1.26e6),
     }
 
     def test_products_and_pair_volume(self, monkeypatch):
@@ -132,12 +135,36 @@ class TestWork:
               "pairs x components")
         assert counts["pairs"] <= 5e5
 
+    # the attributes only suites read, at the budget they read them at
+    READ_BUDGETS = {"phi": (0, 1), "hbar": (0, 0), "Ntensor": (0, 0),
+                    "F": (0, 0), "R_low": (0, 0)}
+
     @pytest.mark.parametrize("attr", ["g_inv", "G", "phi", "hbar", "k",
-                                      "Ntensor", "B", "A"])
+                                      "Ntensor", "F", "R_low", "B", "A"])
     def test_attribute_budgets(self, attr):
-        """Multiplying at a lower budget leaves every attribute's own
-        budget at the chart's minus its required orders."""
+        """Multiplying at a lower budget leaves every engine attribute's
+        own budget at the chart's minus its required orders; one that
+        only suites read is built at their budget."""
         cj = chart(catalog.funk(3), P, *SUITES)
         space = getattr(cj, attr).space
         px, py = REQUIRED_ORDERS[attr]
-        assert (space.px, space.py) == (cj.px - px, cj.py - py)
+        assert (space.px, space.py) == self.READ_BUDGETS.get(
+            attr, (cj.px - px, cj.py - py))
+
+    @pytest.mark.parametrize("metric,p", [
+        *(pytest.param(m, P, id=m.name) for m in catalog.default_metrics(3)),
+        pytest.param(catalog.randers_pflat(4), P4, id="randers_pflat-n4")])
+    def test_read_budget_values_exact(self, monkeypatch, metric, p):
+        """Values and first y-derivatives do not depend on the budget: each
+        attribute built at its readers' budget equals, bit for bit, the
+        same attribute built at the chart's."""
+        names = ("hbar", "Ntensor", "F", "R_low")
+        low = chart(metric, p, *SUITES)
+        lows = [getattr(low, a) for a in names] + [low.phi, d_y(low.phi)]
+        monkeypatch.setattr(engine, "_values", lambda *js: shared(list(js)))
+        full = chart(metric, p, *SUITES)
+        phi = full._phi(full.L)
+        highs = [getattr(full, a) for a in names] + [phi, d_y(phi)]
+        for lo, hi in zip(lows, highs):
+            assert lo.space.T < hi.space.T
+            assert np.array_equal(lo.value(), hi.value())
