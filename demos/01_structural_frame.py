@@ -17,7 +17,7 @@ p = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 # a ChartJets at the jet orders the frame needs
 cj = chart(metric, p, "g_inv")
 L, g, ell = cj.L.value(), cj.g.value(), cj.ell.value()
-phi, hbar = cj.phi.value(), cj.hbar.value()
+phi, hbar = cj.phi.value(), cj.hbar
 
 print(f"metric: {metric.name}, point x={p.x}, direction y={p.y}")
 print(f"L(x, y)      = {L:.6f}")

@@ -45,7 +45,7 @@ from .engine import chart
 from .errors import ConfigError, DslError, FinslerError, HomogeneityError
 from .fdpipe import FDPipeline
 from .sampling import SamplingSpec, sample_points
-from .scalarclass import classify
+from .scalarclass import check_dimension, classify
 from .suites import SUITES, run_suites
 
 EXIT_PASS = 0
@@ -102,27 +102,21 @@ def _build_metric(cfg):
                            constants=constants)
 
 
-def _is_number(v, kinds=(int, float)):
-    # bool is a subclass of int, but JSON true/false is never a number
-    return isinstance(v, kinds) and not isinstance(v, bool)
-
-
 def _sampling(cfg, args):
     s = cfg.get("sampling", {})
     if not isinstance(s, dict):
         raise ConfigError("'sampling' must be an object")
     count = args.samples if args.samples is not None else s.get("count", 20)
     seed = args.seed if args.seed is not None else s.get("seed", 0)
-    if not _is_number(count, int) or count < 1:
+    if not (_param_ok(count, 0) and count >= 1):
         raise ConfigError(f"sample count must be >= 1, got {count!r}")
-    if not _is_number(seed, int) or seed < 0:
+    if not _param_ok(seed, 0):
         raise ConfigError(
             f"sampling seed must be a non-negative integer, got {seed!r}")
     radius = s.get("radius")
     # metrics square |x|, so the square of the radius must be finite
-    # (comparisons, unlike arithmetic, take any int or float)
     if radius is not None and not (
-            _is_number(radius)
+            _param_ok(radius, 0.0)
             and 0 < radius < math.sqrt(sys.float_info.max)):
         raise ConfigError(f"invalid sampling radius {radius!r}")
     return SamplingSpec(count=count, seed=seed, radius=radius)
@@ -144,9 +138,8 @@ def _tolerances(cfg):
         if key != "default" and key not in SUITES:
             raise ConfigError(f"unknown tolerance key {key!r}; known: "
                               f"'default' and {sorted(SUITES)}")
-        # json parses Infinity, which would pass every identity; a huge
-        # JSON integer is compared, not converted, so it cannot overflow
-        if not (_is_number(val) and 0 < val <= sys.float_info.max):
+        # json parses Infinity, which would pass every identity
+        if not (_param_ok(val, 0.0) and val > 0):
             raise ConfigError(
                 f"tolerance {key!r} must be a positive finite number")
     return tols
@@ -266,6 +259,7 @@ def cmd_classify(cfg, args):
     metric = _build_metric(cfg)
     spec = _sampling(cfg, args)
     backend = _backend(cfg, args)
+    check_dimension(metric.n)
     with _report_stream(cfg, args) as stream:
         report = classify(metric, spec, backend=backend)
         _emit(stream, _header("classify", cfg, metric, spec, backend))

@@ -4,9 +4,10 @@
 around one sample point and derives every tensor of interest (metric,
 spray, nonlinear connection, Berwald coefficients, curvature, deviation,
 scalar curvature and its vertical-derivative ladder C, B, A) by formal
-differentiation and jet arithmetic.  Everything is exact to machine
-precision within the jet truncation; requesting a quantity beyond the
-truncation raises :class:`OrderUnsupported`.
+differentiation and jet arithmetic; the forms read only at the point
+(hbar, N, F and R_low) are arrays of values.  Everything is exact to
+machine precision within the jet truncation; requesting a quantity
+beyond the truncation raises :class:`OrderUnsupported`.
 
 Index conventions (component storage):
 
@@ -16,8 +17,8 @@ Index conventions (component storage):
 * Covariant-derivative direction is always the appended LAST axis; the
   intrinsic notation puts the direction first, so e.g. the intrinsic
   (D2 C)(X, Y) is ``d_y(C)[Y, X]`` here.
-* ``B``, ``A`` are stored in intrinsic slot order (X, Y) / (X, Y, Z)
-  where X is the differentiation slot.
+* ``D2C``, ``D2B``, ``B`` and ``A`` are stored in intrinsic slot order
+  (X, Y) / (X, Y, Z) where X is the differentiation slot.
 """
 
 from __future__ import annotations
@@ -40,19 +41,14 @@ REQUIRED_ORDERS = {
     "L": (0, 0), "E": (0, 0), "ell": (0, 1), "g": (0, 2), "g_inv": (1, 2),
     "phi": (0, 1), "hbar": (0, 2), "G": (1, 2), "N": (1, 3),
     "Gamma": (1, 4), "Rhat": (2, 4), "H": (2, 4), "k": (2, 4),
-    "C": (2, 5), "B": (2, 6), "A": (2, 7), "Ntensor": (2, 6), "F": (2, 6),
-    "R": (2, 5), "R_low": (2, 5),
-    # suites differentiate past the attributes they read (bianchi takes
-    # h_cov of Rhat, lemma23 and lemma31 take d_y of B)
+    "C": (2, 5), "D2C": (2, 6), "B": (2, 6), "D2B": (2, 7), "A": (2, 7),
+    "Ntensor": (2, 6), "F": (2, 6), "R": (2, 5), "R_low": (2, 5),
+    # a suite differentiates past the attributes it reads (bianchi takes
+    # h_cov of Rhat)
     "lemma21": (1, 4), "lemma22": (2, 6), "lemma23": (2, 7),
     "theorem21": (2, 6), "corollary21": (2, 6), "prop21": (2, 6),
     "lemma31": (2, 7), "bianchi": (3, 5),
 }
-
-
-def _values(*jets):
-    """The jets at budget (0, 0), for attributes suites read only as values."""
-    return [restrict(j, 0, 0) for j in jets]
 
 
 def chart(metric: FinslerMetric, p: SamplePoint, *names) -> ChartJets:
@@ -64,7 +60,9 @@ def chart(metric: FinslerMetric, p: SamplePoint, *names) -> ChartJets:
 
 
 class ChartJets:
-    """All Berwald-geometry quantities at one sample point, as jets."""
+    """All Berwald-geometry quantities at one sample point.  An attribute
+    built by a jet operation is a :class:`Jet`; one that is NumPy algebra
+    on other attributes' values is an array."""
 
     def __init__(self, metric: FinslerMetric, p: SamplePoint, px: int, py: int):
         metric.check_point(p)
@@ -123,8 +121,8 @@ class ChartJets:
 
     @cached_property
     def hbar(self):
-        ell, g = _values(self.ell, self.g)
-        return g - jet_einsum("i,j->ij", ell, ell)
+        ell = self.ell.value()
+        return self.g.value() - np.einsum("i,j->ij", ell, ell)
 
     # ---- spray and connection ----------------------------------------
     @cached_property
@@ -192,18 +190,20 @@ class ChartJets:
         return self.L * d_y(self.k)
 
     @cached_property
+    def D2C(self):
+        return d_y(self.C).tr(1, 0)    # intrinsic slots (X=direction, Y)
+
+    @cached_property
     def B(self):
-        dC = d_y(self.C)               # [arg j, direction c]
-        m = dC.tr(1, 0)                # intrinsic slots (X=direction, Y=arg)
-        pm = self._project(m)
-        return self.L * pm
+        return self.L * self._project(self.D2C)
+
+    @cached_property
+    def D2B(self):
+        return d_y(self.B).tr(2, 0, 1)  # intrinsic slots (X=dir, Y, Z)
 
     @cached_property
     def A(self):
-        dB = d_y(self.B)               # [x, y, direction c]
-        m = dB.tr(2, 0, 1)             # intrinsic slots (X=dir, Y, Z)
-        pm = self._project(m)
-        return self.L * pm
+        return self.L * self._project(self.D2B)
 
     def _project(self, m):
         """phi composed into every slot of m, one einsum per slot; for
@@ -218,17 +218,16 @@ class ChartJets:
 
     @cached_property
     def Ntensor(self):
-        B, k, ell, C, g = _values(self.B, self.k, self.ell, self.C, self.g)
-        lC = jet_einsum("x,y->xy", ell, C)
-        Cl = lC.tr(1, 0)
-        core = g + jet_einsum("x,y->xy", ell, ell)
-        return k * core + (1.0 / 3.0) * (B + 2.0 * lC + 2.0 * Cl)
+        B, k, ell, C, g = (a.value() for a in (self.B, self.k, self.ell,
+                                               self.C, self.g))
+        lC = np.einsum("x,y->xy", ell, C)
+        core = g + np.einsum("x,y->xy", ell, ell)
+        return k * core + (1.0 / 3.0) * (B + 2.0 * lC + 2.0 * lC.T)
 
     @cached_property
     def F(self):
-        B, C, ell = _values(self.B, self.C, self.ell)
-        Cl = jet_einsum("x,y->xy", C, ell)
-        return (1.0 / 3.0) * (B + 2.0 * Cl)
+        B, C, ell = self.B.value(), self.C.value(), self.ell.value()
+        return (1.0 / 3.0) * (B + 2.0 * np.einsum("x,y->xy", C, ell))
 
     # ---- full h-curvature --------------------------------------------
     @cached_property
@@ -239,4 +238,4 @@ class ChartJets:
 
     @cached_property
     def R_low(self):
-        return jet_einsum("iw,ixyz->xyzw", *_values(self.g, self.R))
+        return np.einsum("iw,ixyz->xyzw", self.g.value(), self.R.value())

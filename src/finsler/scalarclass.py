@@ -41,12 +41,17 @@ class ClassificationReport:
     residuals: dict = field(default_factory=dict)  # name -> {value, tolerance}
 
 
+def check_dimension(n):
+    """Classification needs n >= 3: every surface has scalar curvature."""
+    if n < 3:
+        raise DimensionTooSmall(
+            f"classification requires dimension n >= 3, got {n}")
+
+
 def classify(metric: FinslerMetric, spec: SamplingSpec = None,
              backend: str = "jet") -> ClassificationReport:
     """Sample the metric and decide generic / scalar / constant."""
-    if metric.n < 3:
-        raise DimensionTooSmall(
-            f"classification requires dimension n >= 3, got {metric.n}")
+    check_dimension(metric.n)
     if backend not in ("jet", "fd"):
         raise ConfigError(f"unknown backend {backend!r}")
     spec = spec or SamplingSpec()

@@ -35,13 +35,6 @@ def isotropy(H, k, L, phi):
     return _mx(H - k * L * L * phi) / max(_mx(H), L * L)
 
 
-def _d2(field_jet):
-    """Intrinsic second vertical derivative layout: the differentiation
-    direction moved to the FIRST slot (storage appends it last)."""
-    arr = d_y(field_jet).value()
-    return np.moveaxis(arr, -1, 0)
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -55,7 +48,7 @@ def suite_lemma21(cj: ChartJets):
     ell = cj.ell.value()
     g = cj.g.value()
     phi = cj.phi.value()
-    hbar = cj.hbar.value()
+    hbar = cj.hbar
     n = cj.n
     res = {
         "ell_pairs_to_L": _rel(ell @ y - L, L),
@@ -84,7 +77,7 @@ def suite_lemma22(cj: ChartJets):
     y = cj.p.y
     C = cj.C.value()
     phi = cj.phi.value()
-    D2C = _d2(cj.C)  # [direction X, argument Y]
+    D2C = cj.D2C.value()  # [direction X, argument Y]
     return {
         "C_kills_direction": _rel(C @ y, C),
         "C_is_indicatory": _rel(phi.T @ C - C, C),
@@ -101,8 +94,8 @@ def suite_lemma23(cj: ChartJets):
     B = cj.B.value()
     ell = cj.ell.value()
     phi = cj.phi.value()
-    D2C = _d2(cj.C)
-    D2B = _d2(cj.B)  # [X=direction, Y, Z]
+    D2C = cj.D2C.value()
+    D2B = cj.D2B.value()  # [X=direction, Y, Z]
     return {
         "B_kills_direction": _rel(B @ y, B, C),
         "B_is_indicatory": _rel(phi.T @ B @ phi - B, B),
@@ -126,7 +119,7 @@ def suite_theorem21(cj: ChartJets):
     k = cj.k.value()
     ell = cj.ell.value()
     phi = cj.phi.value()
-    hbar = cj.hbar.value()
+    hbar = cj.hbar
     H = cj.H.value()
     Rhat = cj.Rhat.value()
     R = cj.R.value()
@@ -160,10 +153,10 @@ def suite_theorem21(cj: ChartJets):
 def suite_corollary21(cj: ChartJets):
     """Symmetry-split identities of the lowered curvature on
     scalar-curvature spaces, in terms of the auxiliary forms N and F."""
-    hbar = cj.hbar.value()
-    Rl = cj.R_low.value()
-    Nt = cj.Ntensor.value()
-    F = cj.F.value()
+    hbar = cj.hbar
+    Rl = cj.R_low
+    Nt = cj.Ntensor
+    F = cj.F
 
     lhs_a = Rl - Rl.transpose(0, 1, 3, 2)
     rhs_a = (np.einsum("zx,wy->xyzw", hbar, Nt)
@@ -187,8 +180,8 @@ def _projected(cj: ChartJets):
     slot."""
     phi = cj.phi.value()
     PR = np.einsum("ax,by,cz,dw,abcd->xyzw", phi, phi, phi, phi,
-                   cj.R_low.value())
-    return PR, phi.T @ cj.Ntensor.value() @ phi
+                   cj.R_low)
+    return PR, phi.T @ cj.Ntensor @ phi
 
 
 def suite_prop21(cj: ChartJets):
@@ -196,9 +189,9 @@ def suite_prop21(cj: ChartJets):
     and the projected curvature has its closed expression in B and k."""
     k = cj.k.value()
     phi = cj.phi.value()
-    hbar = cj.hbar.value()
-    Rl = cj.R_low.value()
-    Nt = cj.Ntensor.value()
+    hbar = cj.hbar
+    Rl = cj.R_low
+    Nt = cj.Ntensor
     B = cj.B.value()
 
     PR, PN = _projected(cj)
@@ -208,7 +201,7 @@ def suite_prop21(cj: ChartJets):
         "projected_curvature_form": _rel(PR - rhs, Rl, rhs),
         "projected_N_form": _rel(PN - (B / 3.0 + k * hbar), Nt, B),
         "projected_F_form": _rel(
-            phi.T @ cj.F.value() @ phi - B / 3.0, B, cj.F.value()),
+            phi.T @ cj.F @ phi - B / 3.0, B, cj.F),
     }
 
 
@@ -228,8 +221,8 @@ def suite_lemma31(cj: ChartJets):
     C = cj.C.value()
     B = cj.B.value()
     A = cj.A.value()
-    hbar = cj.hbar.value()
-    D2B = _d2(cj.B)
+    hbar = cj.hbar
+    D2B = cj.D2B.value()
 
     expansion = (L * D2B + np.einsum("z,xy->xyz", ell, B)
                  + np.einsum("y,xz->xyz", ell, B))

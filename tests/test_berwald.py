@@ -111,7 +111,7 @@ class TestCovariantDerivatives:
         cj = ChartJets(metric, P, 0, 3)
         L = cj.L.value()
         phi, ell = cj.phi.value(), cj.ell.value()
-        hbar = cj.hbar.value()
+        hbar = cj.hbar
         pred = -(np.einsum("jc,i->ijc", hbar, P.y)
                  + L * np.einsum("ic,j->ijc", phi, ell)) / (L * L)
         np.testing.assert_allclose(d_y(cj.phi).value(), pred, atol=1e-10)

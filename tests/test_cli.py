@@ -181,6 +181,24 @@ class TestClassify:
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith(f"{catalog}: {verdict} ")
 
+    @pytest.mark.parametrize("existing", [None, b"an earlier report\n"],
+                             ids=["absent", "existing"])
+    def test_dimension_two_leaves_report(self, tmp_path, capsys, existing):
+        """The dimension rule runs before the report is opened: no report
+        is created, and an existing one is left as it was."""
+        cfg = write_config(tmp_path, "d2.json", {
+            "metric": {"catalog": "funk", "dimension": 2}})
+        out = tmp_path / "r.jsonl"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["classify", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: classification requires dimension n >= 3, got 2\n")
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
     def test_euclidean_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "e.json", {
             "metric": {"catalog": "euclidean", "dimension": 3},

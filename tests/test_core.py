@@ -25,7 +25,7 @@ def frame(metric, p):
     """The structural frame at the jet orders g^-1 needs."""
     cj = chart(metric, p, "g_inv")
     return (cj.L.value(), cj.g.value(), cj.g_inv.value(), cj.ell.value(),
-            cj.phi.value(), cj.hbar.value())
+            cj.phi.value(), cj.hbar)
 
 
 class TestStructuralFrame:

@@ -13,6 +13,7 @@ from finsler.suites import suite_bianchi
 from oracles import deviation_fd, riemann_fd, space_form_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
+P4 = SamplePoint([0.1, -0.2, 0.15, 0.05], [0.7, -0.3, 1.1, 0.4])
 
 
 def torsion(metric, p):
@@ -93,6 +94,16 @@ class TestDeviation:
             assert chart(metric, p, "k").k.value() == pytest.approx(
                 want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("p", [P, P4], ids=["n3", "n4"])
+    def test_randers_pflat_C_closed_form(self, p):
+        """C = F dk/dy of the closed form k = 3|y|^4 / (4F^4) above:
+        C = 3|y|^2 / F^3 (y - |y|^2 (y/|y| + x) / F)."""
+        r = np.linalg.norm(p.y)
+        F = r + p.x @ p.y
+        want = 3.0 * r ** 2 / F ** 3 * (p.y - r ** 2 * (p.y / r + p.x) / F)
+        C = chart(catalog.randers_pflat(len(p.y)), p, "C").C.value()
+        assert np.abs(C - want).max() <= 1e-12 * np.abs(want).max()
+
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_kills_direction(self, metric):
         H = deviation(metric, P)
@@ -103,7 +114,7 @@ class TestFullCurvature:
     def test_euclidean_zero(self):
         cj = ChartJets(catalog.euclidean(3), P, 2, 5)
         assert np.abs(cj.R.value()).max() == 0.0
-        assert np.abs(cj.R_low.value()).max() == 0.0
+        assert np.abs(cj.R_low).max() == 0.0
 
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_contracts_to_torsion(self, metric):
@@ -116,7 +127,7 @@ class TestFullCurvature:
     @pytest.mark.parametrize("kappa", [1.0, -1.0])
     def test_lowered_matches_riemann_oracle(self, kappa):
         metric = catalog.riemannian_space_form(3, kappa)
-        Rlow = ChartJets(metric, P, 2, 5).R_low.value()
+        Rlow = ChartJets(metric, P, 2, 5).R_low
         riem = riemann_fd(space_form_a(kappa), P.x)
         a0 = space_form_a(kappa)(P.x)
         lowered = np.einsum("wi,ijkl->jklw", a0, riem)
@@ -130,7 +141,7 @@ class TestFullCurvature:
         g = cj.g.value()
         pred = kappa * (np.einsum("zx,yw->xyzw", g, g)
                         - np.einsum("zy,xw->xyzw", g, g))
-        np.testing.assert_allclose(cj.R_low.value(), pred, atol=1e-10)
+        np.testing.assert_allclose(cj.R_low, pred, atol=1e-10)
 
 
 class TestUniversalIdentities:

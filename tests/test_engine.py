@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from finsler import catalog, engine, jets
+from finsler import catalog, jets
 from finsler.engine import REQUIRED_ORDERS, ChartJets, chart
 from finsler.errors import OrderUnsupported
-from finsler.jets import d_y, get_space, shared
+from finsler.jets import d_y, get_space, jet_einsum, restrict
 from finsler.metric import SamplePoint
 from finsler.suites import SUITES
 
@@ -19,7 +19,7 @@ P4 = SamplePoint([0.1, -0.2, 0.15, 0.05], [0.7, -0.3, 1.1, 0.4])
 
 def evaluate(name, cj):
     """Suite ``name`` on cj, or attribute ``name`` of cj."""
-    return SUITES[name](cj) if name in SUITES else getattr(cj, name).value()
+    return SUITES[name](cj) if name in SUITES else getattr(cj, name)
 
 
 @pytest.mark.parametrize("attr", sorted(REQUIRED_ORDERS))
@@ -100,14 +100,16 @@ class TestWork:
     # Gauss-Jordan on jet products; 5.98e6 when every product ran in its
     # budget space and g_inv was inverted at chart - (0, 2); 2.85e6 when
     # phi, hbar, Ntensor, F and R_low were built at the chart's budget
-    # though suites read only their values and phi's first y-derivative)
+    # though suites read only their values and phi's first y-derivative;
+    # funk 46 products when hbar, Ntensor, F and R_low were jets at (0, 0)
+    # and suites took d_y of C and B again)
     VERIFY_WORK = {
-        "euclidean": (37, 7.1e4),
-        "riemannian_space_form(kappa=1)": (41, 1.24e6),
-        "riemannian_space_form(kappa=-1)": (41, 1.24e6),
-        "funk": (46, 1.38e6),
-        "randers_pflat": (40, 9.1e5),
-        "perturbed_riemannian(seed=0)": (52, 1.26e6),
+        "euclidean": (31, 7.1e4),
+        "riemannian_space_form(kappa=1)": (35, 1.24e6),
+        "riemannian_space_form(kappa=-1)": (35, 1.24e6),
+        "funk": (40, 1.38e6),
+        "randers_pflat": (34, 9.1e5),
+        "perturbed_riemannian(seed=0)": (46, 1.26e6),
     }
 
     def test_products_and_pair_volume(self, monkeypatch):
@@ -135,36 +137,44 @@ class TestWork:
               "pairs x components")
         assert counts["pairs"] <= 5e5
 
-    # the attributes only suites read, at the budget they read them at
-    READ_BUDGETS = {"phi": (0, 1), "hbar": (0, 0), "Ntensor": (0, 0),
-                    "F": (0, 0), "R_low": (0, 0)}
-
-    @pytest.mark.parametrize("attr", ["g_inv", "G", "phi", "hbar", "k",
-                                      "Ntensor", "F", "R_low", "B", "A"])
+    @pytest.mark.parametrize("attr", ["g_inv", "G", "phi", "k", "B", "A"])
     def test_attribute_budgets(self, attr):
         """Multiplying at a lower budget leaves every engine attribute's
-        own budget at the chart's minus its required orders; one that
-        only suites read is built at their budget."""
+        own budget at the chart's minus its required orders; phi, which
+        only suites read, is built at their budget (0, 1)."""
         cj = chart(catalog.funk(3), P, *SUITES)
         space = getattr(cj, attr).space
         px, py = REQUIRED_ORDERS[attr]
-        assert (space.px, space.py) == self.READ_BUDGETS.get(
-            attr, (cj.px - px, cj.py - py))
+        assert (space.px, space.py) == ((0, 1) if attr == "phi" else
+                                        (cj.px - px, cj.py - py))
 
     @pytest.mark.parametrize("metric,p", [
         *(pytest.param(m, P, id=m.name) for m in catalog.default_metrics(3)),
         pytest.param(catalog.randers_pflat(4), P4, id="randers_pflat-n4")])
-    def test_read_budget_values_exact(self, monkeypatch, metric, p):
-        """Values and first y-derivatives do not depend on the budget: each
-        attribute built at its readers' budget equals, bit for bit, the
-        same attribute built at the chart's."""
-        names = ("hbar", "Ntensor", "F", "R_low")
-        low = chart(metric, p, *SUITES)
-        lows = [getattr(low, a) for a in names] + [low.phi, d_y(low.phi)]
-        monkeypatch.setattr(engine, "_values", lambda *js: shared(list(js)))
-        full = chart(metric, p, *SUITES)
-        phi = full._phi(full.L)
-        highs = [getattr(full, a) for a in names] + [phi, d_y(phi)]
-        for lo, hi in zip(lows, highs):
+    def test_read_budget_values_exact(self, metric, p):
+        """The forms suites read only as values equal, bit for bit, the
+        same formulas as jet arithmetic at budget (0, 0); D2C and D2B are
+        d_y of C and B with the direction moved first; phi and its first
+        y-derivative, built at their readers' budget, equal phi built at
+        the chart's."""
+        cj = chart(metric, p, *SUITES)
+        ell, g, C, B, k, R = (restrict(getattr(cj, a), 0, 0)
+                              for a in ("ell", "g", "C", "B", "k", "R"))
+        lC = jet_einsum("x,y->xy", ell, C)
+        jets_at_values = {
+            "hbar": g - jet_einsum("i,j->ij", ell, ell),
+            "Ntensor": k * (g + jet_einsum("x,y->xy", ell, ell))
+            + (1.0 / 3.0) * (B + 2.0 * lC + 2.0 * lC.tr(1, 0)),
+            "F": (1.0 / 3.0) * (B + 2.0 * jet_einsum("x,y->xy", C, ell)),
+            "R_low": jet_einsum("iw,ixyz->xyzw", g, R),
+        }
+        for name, jet in jets_at_values.items():
+            assert isinstance(getattr(cj, name), np.ndarray)
+            assert np.array_equal(getattr(cj, name), jet.value())
+        for d2, field in ((cj.D2C, cj.C), (cj.D2B, cj.B)):
+            assert np.array_equal(d2.value(),
+                                  np.moveaxis(d_y(field).value(), -1, 0))
+        phi = cj._phi(cj.L)
+        for lo, hi in ((cj.phi, phi), (d_y(cj.phi), d_y(phi))):
             assert lo.space.T < hi.space.T
             assert np.array_equal(lo.value(), hi.value())

@@ -143,7 +143,7 @@ class TestFiberDerivatives:
         cj = ChartJets(metric, P, 0, 2)
         hess = partials(metric.evaluate, P, 0, 2)
         L = cj.L.value()
-        np.testing.assert_allclose(hess, cj.hbar.value() / L, atol=1e-12)
+        np.testing.assert_allclose(hess, cj.hbar / L, atol=1e-12)
 
     def test_constant_field(self):
         f = get_space(3, 0, 3).constant(4.2)

@@ -111,12 +111,12 @@ class TestDerivativeLadder:
         cj = ChartJets(metric, P, 2, 6)
         g, ell = cj.g.value(), cj.ell.value()
         # constant curvature kills B and C: N = k(g + ell ell), F = 0
-        np.testing.assert_allclose(cj.Ntensor.value(),
+        np.testing.assert_allclose(cj.Ntensor,
                                    g + np.outer(ell, ell), atol=1e-12)
-        assert np.abs(cj.F.value()).max() < 1e-12
+        assert np.abs(cj.F).max() < 1e-12
         cj0 = ChartJets(catalog.euclidean(3), P, 2, 6)
-        assert np.abs(cj0.Ntensor.value()).max() < 1e-14
-        assert np.abs(cj0.F.value()).max() < 1e-14
+        assert np.abs(cj0.Ntensor).max() < 1e-14
+        assert np.abs(cj0.F).max() < 1e-14
 
 
 class TestChecks:
