@@ -43,8 +43,9 @@ REQUIRED_ORDERS = {
     "Gamma": (1, 4), "Rhat": (2, 4), "H": (2, 4), "k": (2, 4),
     "C": (2, 5), "D2C": (2, 6), "B": (2, 6), "D2B": (2, 7), "A": (2, 7),
     "Ntensor": (2, 6), "F": (2, 6), "R": (2, 5), "R_low": (2, 5),
-    # a suite differentiates past the attributes it reads (bianchi takes
-    # h_cov of Rhat)
+    # a suite differentiates past the attributes it reads: bianchi takes
+    # h_cov of Rhat, so it needs a third x-order, and no other suite does;
+    # that is why verify reads it from a second chart (see ``charts``)
     "lemma21": (1, 4), "lemma22": (2, 6), "lemma23": (2, 7),
     "theorem21": (2, 6), "corollary21": (2, 6), "prop21": (2, 6),
     "lemma31": (2, 7), "bianchi": (3, 5),
@@ -57,6 +58,20 @@ def chart(metric: FinslerMetric, p: SamplePoint, *names) -> ChartJets:
     orders = [REQUIRED_ORDERS[name] for name in names]
     return ChartJets(metric, p, max(px for px, _ in orders),
                      max(py for _, py in orders))
+
+
+def charts(metric: FinslerMetric, p: SamplePoint, *names):
+    """Each named attribute or suite mapped to a :class:`ChartJets` at p
+    that holds its orders.  One chart is built per maximal order among the
+    names (one that no other name's order contains on both axes), in
+    sorted order, and each name reads the first that contains its own."""
+    orders = {name: REQUIRED_ORDERS[name] for name in names}
+    tops = sorted(set(orders.values()))
+    built = [ChartJets(metric, p, *top) for top in tops
+             if not any(o != top and o[0] >= top[0] and o[1] >= top[1]
+                        for o in tops)]
+    return {name: next(cj for cj in built if cj.px >= px and cj.py >= py)
+            for name, (px, py) in orders.items()}
 
 
 class ChartJets:
@@ -154,9 +169,12 @@ class ChartJets:
 
     def h_cov(self, F, contravariant_first=False):
         """Berwald horizontal covariant derivative of a tensor-valued jet
-        field; new covariant slot appended last."""
+        field; new covariant slot appended last.  Suites read only its
+        value, so F is first cut to (1, 1) and the result is a jet at
+        (0, 0)."""
         r = len(F.shape)
         sub = _LETTERS[:r]
+        F = restrict(F, 1, 1)
         out, Gamma, F = shared([self.delta(F), self.Gamma, F])
         if contravariant_first:
             fsub = "m" + sub[1:]

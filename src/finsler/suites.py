@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import ChartJets, chart
+from .engine import ChartJets, charts
 from .jets import d_y
 
 # ---------------------------------------------------------------------------
@@ -281,17 +281,19 @@ UNIVERSAL_SUITES = ("lemma21", "lemma22", "lemma23", "lemma31", "bianchi")
 
 
 def run_suites(metric, points, names):
-    """Evaluate the named suites at each point; yields one record
-    (suite, identity, point index, residual) per identity per point."""
+    """Evaluate the named suites at each point, each on the first of the
+    point's charts that holds its orders (``engine.charts``); returns a list
+    of one record (suite, identity, point index, residual) per identity,
+    per point and then per suite in ``names`` order."""
     names = list(names)
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
     records = []
     for idx, p in enumerate(points):
-        cj = chart(metric, p, *names)
+        cjs = charts(metric, p, *names)
         for name in names:
-            for ident, value in SUITES[name](cj).items():
+            for ident, value in SUITES[name](cjs[name]).items():
                 records.append({
                     "suite": name,
                     "identity": ident,

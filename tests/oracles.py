@@ -2,7 +2,8 @@
 
 These share no code with the jet engine: Christoffel symbols and the
 Riemann tensor are obtained by plain central differences of the metric
-component matrix a_ij(x) of a Riemannian metric.
+component matrix a_ij(x) of a Riemannian metric, and the flag curvature
+of a projectively flat metric by central differences of L in x alone.
 """
 
 import numpy as np
@@ -60,3 +61,22 @@ def space_form_a(kappa):
         return np.eye(len(x)) / conf ** 2
 
     return a_fn
+
+
+def k_pflat(metric, p, h=1e-3):
+    """Flag curvature K of a projectively flat Finsler metric F at p:
+    K = (P^2 - P_{x^k} y^k) / F^2 with projective factor P = F_{x^k} y^k
+    / (2F) (Chern-Shen, Riemann-Finsler Geometry, ch. 8; Shen, Trans. AMS
+    2003).  With f(t) = F(x + t y, y), F_{x^k} y^k = f'(0) and P_{x^k} y^k
+    = f''/(2f) - f'^2/(2f^2) at 0; f' and f'' are five-point central
+    differences of float calls of L, so only x moves."""
+    x = np.asarray(p.x, dtype=float)
+    y = np.asarray(p.y, dtype=float)
+    fm2, fm1, f0, f1, f2 = (float(metric.evaluate((x + s * h * y).tolist(),
+                                                  y.tolist()))
+                            for s in (-2, -1, 0, 1, 2))
+    d1 = (fm2 - 8.0 * fm1 + 8.0 * f1 - f2) / (12.0 * h)
+    d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * f1 - f2) / (12.0 * h * h)
+    P = d1 / (2.0 * f0)
+    dP = d2 / (2.0 * f0) - d1 * d1 / (2.0 * f0 * f0)
+    return (P * P - dP) / (f0 * f0)

@@ -10,7 +10,7 @@ from finsler.engine import ChartJets, chart
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
 from finsler.suites import suite_bianchi
-from oracles import deviation_fd, riemann_fd, space_form_a
+from oracles import deviation_fd, k_pflat, riemann_fd, space_form_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 P4 = SamplePoint([0.1, -0.2, 0.15, 0.05], [0.7, -0.3, 1.1, 0.4])
@@ -93,6 +93,18 @@ class TestDeviation:
             want = 3.0 * (p.y @ p.y) ** 2 / (4.0 * F ** 4)
             assert chart(metric, p, "k").k.value() == pytest.approx(
                 want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("make", [catalog.funk, catalog.randers_pflat],
+                             ids=["funk", "randers_pflat"])
+    def test_projectively_flat_oracle(self, make, n):
+        """Jet k against K from float x-derivatives of L alone
+        (``oracles.k_pflat``), which shares no code with the spray, N, Rhat
+        and H chain of the engine."""
+        metric = make(n)
+        for p in sample_points(metric, SamplingSpec(count=4, seed=3)):
+            assert chart(metric, p, "k").k.value() == pytest.approx(
+                k_pflat(metric, p), rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("p", [P, P4], ids=["n3", "n4"])
     def test_randers_pflat_C_closed_form(self, p):

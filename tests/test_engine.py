@@ -11,7 +11,7 @@ from finsler.engine import REQUIRED_ORDERS, ChartJets, chart
 from finsler.errors import OrderUnsupported
 from finsler.jets import d_y, get_space, jet_einsum, restrict
 from finsler.metric import SamplePoint
-from finsler.suites import SUITES
+from finsler.suites import SUITES, run_suites
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 P4 = SamplePoint([0.1, -0.2, 0.15, 0.05], [0.7, -0.3, 1.1, 0.4])
@@ -96,30 +96,33 @@ class TestWork:
     of its operands' supports."""
 
     # per default metric, at most so many products and pairs x components
-    # (funk: 46 and 2.84e6 when written; 88 and 3.09e6 when g_inv ran
-    # Gauss-Jordan on jet products; 5.98e6 when every product ran in its
-    # budget space and g_inv was inverted at chart - (0, 2); 2.85e6 when
-    # phi, hbar, Ntensor, F and R_low were built at the chart's budget
-    # though suites read only their values and phi's first y-derivative;
-    # funk 46 products when hbar, Ntensor, F and R_low were jets at (0, 0)
-    # and suites took d_y of C and B again)
+    # of one point of verify with every suite (funk: 46 and 2.84e6 when
+    # written; 88 and 3.09e6 when g_inv ran Gauss-Jordan on jet products;
+    # 5.98e6 when every product ran in its budget space and g_inv was
+    # inverted at chart - (0, 2); 2.85e6 when phi, hbar, Ntensor, F and
+    # R_low were built at the chart's budget though suites read only their
+    # values and phi's first y-derivative; funk 46 products when hbar,
+    # Ntensor, F and R_low were jets at (0, 0) and suites took d_y of C
+    # and B again; 40 products and 1.38e6 when verify read every suite
+    # from one chart at (3, 7) and h_cov ran at its operand's budget: the
+    # charts at (2, 7) and (3, 5) run the G -> Rhat chain twice, so there
+    # are more products, on about half the pairs)
     VERIFY_WORK = {
-        "euclidean": (31, 7.1e4),
-        "riemannian_space_form(kappa=1)": (35, 1.24e6),
-        "riemannian_space_form(kappa=-1)": (35, 1.24e6),
-        "funk": (40, 1.38e6),
-        "randers_pflat": (34, 9.1e5),
-        "perturbed_riemannian(seed=0)": (46, 1.26e6),
+        "euclidean": (39, 3.9e4),
+        "riemannian_space_form(kappa=1)": (47, 4.33e5),
+        "riemannian_space_form(kappa=-1)": (47, 4.33e5),
+        "funk": (57, 5.19e5),
+        "randers_pflat": (45, 3.05e5),
+        "perturbed_riemannian(seed=0)": (69, 4.65e5),
     }
 
     def test_products_and_pair_volume(self, monkeypatch):
-        """One point per default metric with every suite; prints the true
-        counts, which do not depend on timing."""
+        """One point per default metric through ``run_suites`` with every
+        suite, the path verify takes; prints the true counts, which do not
+        depend on timing."""
         for metric in catalog.default_metrics(3):
             counts = count_work(monkeypatch)
-            cj = chart(metric, P, *SUITES)
-            for suite in SUITES.values():
-                suite(cj)
+            run_suites(metric, [P], sorted(SUITES))
             print(f"verify {metric.name}: {counts['products']} products, "
                   f"{counts['pairs']:,} pairs x components")
             products, pairs = self.VERIFY_WORK[metric.name]
@@ -178,3 +181,46 @@ class TestWork:
         for lo, hi in ((cj.phi, phi), (d_y(cj.phi), d_y(phi))):
             assert lo.space.T < hi.space.T
             assert np.array_equal(lo.value(), hi.value())
+
+
+class TestCharts:
+    """verify reads each suite from the first chart, among one per maximal
+    order of the requested suites, that holds the suite's orders."""
+
+    @pytest.mark.parametrize("metric,p", [
+        *(pytest.param(m, P, id=m.name) for m in catalog.default_metrics(3)),
+        pytest.param(catalog.randers_pflat(4), P4, id="randers_pflat-n4")])
+    def test_records_equal_one_bounding_chart(self, metric, p):
+        """Every residual equals, float for float, the suite's residual on
+        one chart at the orders of every suite: a product's pairs I + J = K
+        are the same, in the same order, in every space that holds K."""
+        q = SamplePoint(-0.5 * p.x, p.y[::-1])
+        on_one = []
+        for pt in (p, q):
+            cj = chart(metric, pt, *SUITES)
+            on_one.append({name: suite(cj) for name, suite in SUITES.items()})
+        for names in (sorted(SUITES), ["bianchi", "theorem21"],
+                      ["lemma21"]):
+            want = [(name, ident, idx, float(value))
+                    for idx, by_suite in enumerate(on_one) for name in names
+                    for ident, value in by_suite[name].items()]
+            got = [(r["suite"], r["identity"], r["sample"], r["residual"])
+                   for r in run_suites(metric, [p, q], names)]
+            assert got == want
+
+    @pytest.mark.parametrize("names,orders", [
+        (sorted(SUITES), [(2, 7), (3, 5)]),
+        (["lemma21", "bianchi"], [(3, 5)]),
+        (["bianchi", "lemma21"], [(3, 5)]),
+        *(([name], [REQUIRED_ORDERS[name]]) for name in SUITES)])
+    def test_one_chart_per_maximal_order(self, monkeypatch, names, orders):
+        built = []
+        init = ChartJets.__init__
+
+        def counted_init(self, metric, p, px, py):
+            built.append((px, py))
+            init(self, metric, p, px, py)
+
+        monkeypatch.setattr(ChartJets, "__init__", counted_init)
+        run_suites(catalog.funk(3), [P], names)
+        assert built == orders
