@@ -280,7 +280,7 @@ def parse_metric(source: str, n: int) -> MetricAst:
 
 def _near_zero(v):
     c = v.c[0] if isinstance(v, jets.Jet) else v
-    return bool(np.any(np.abs(c) < 1e-300))
+    return bool(np.any(np.abs(c) < jets._DIV_EPS))
 
 
 def _fail(message, node):
@@ -332,8 +332,6 @@ def _ev(node, x, y, consts):
     if isinstance(node, Call):
         if node.func == "sqrt":
             arg = _ev(node.args[0], x, y, consts)
-            if not isinstance(arg, jets.Jet) and np.any(np.asarray(arg) < 0):
-                _fail("sqrt of a negative value", node)
             return _named(node, lambda: jets.sqrt(arg))
         vecs = {"x": x, "y": y}
         if node.func == "dot":

@@ -27,10 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateMetric, DomainError
 from .jets import (Jet, d_x, d_y, get_space, jet_einsum, jet_matrix_inverse,
                    jstack, restrict, shared)
-from .metric import FinslerMetric, SamplePoint
+from .metric import FinslerMetric, SamplePoint, check_g, check_L
 
 _LETTERS = "abcdefgh"
 
@@ -89,14 +88,9 @@ class ChartJets:
         self.space = get_space(metric.n, px, py)
         xs, ys = self.space.seed(p.x, p.y)
         self.yjet = jstack(ys)
-        L = metric.evaluate(xs, ys)
-        if not isinstance(L, Jet):
-            raise TypeError("metric evaluator must compose with jet scalars")
-        if L.value() <= 0.0:
-            raise DomainError(
-                f"L = {L.value():.6g} <= 0 at x={p.x.tolist()}, "
-                f"y={p.y.tolist()}")
-        self.L = L
+        L = metric.evaluate(xs, ys)  # a float if constant in x and y
+        self.L = L if isinstance(L, Jet) else self.space.constant(L)
+        check_L(self.L, p)
 
     # ---- structural frame --------------------------------------------
     @cached_property
@@ -113,13 +107,7 @@ class ChartJets:
 
     @cached_property
     def g_inv(self):
-        gv = self.g.value()
-        ev = np.linalg.eigvalsh(gv)
-        if ev[0] <= 1e-9 * abs(ev[-1]):
-            raise DegenerateMetric(
-                f"fundamental tensor not positive definite at "
-                f"x={self.p.x.tolist()}, y={self.p.y.tolist()} "
-                f"(smallest eigenvalue {ev[0]:.3e})", min_eigenvalue=ev[0])
+        check_g(self.g.value(), self.p.x, self.p.y)
         # at the budget of G, its only reader
         return jet_matrix_inverse(restrict(self.g, self.px - 1, self.py - 2))
 

@@ -6,8 +6,8 @@ class FinslerError(Exception):
 
 
 class DomainError(FinslerError):
-    """A chart coordinate lies outside the metric's declared domain,
-    or a tangent direction is invalid (zero vector)."""
+    """A sample point is malformed, its x lies outside the metric's
+    declared domain or its y is zero, or L there is not a positive number."""
 
 
 class DegenerateMetric(FinslerError):

@@ -4,10 +4,11 @@ using only array evaluations of L and central-difference stencils (one
 Richardson extrapolation level).
 
 This backend shares no differentiation code with the jet engine, which
-is what makes it a meaningful cross-check oracle.  It deliberately stops
-at the first vertical derivative of the scalar curvature (the C form):
-deeper members of the derivative ladder amplify FD noise beyond any
-useful tolerance and are only available on the jet backend.
+is what makes it a meaningful cross-check oracle; it shares only the
+checks of L and g (:mod:`finsler.metric`).  It deliberately stops at the
+first vertical derivative of the scalar curvature (the C form): deeper
+members of the derivative ladder amplify FD noise beyond any useful
+tolerance and are only available on the jet backend.
 
 Every derivative is :func:`_d1` or :func:`_d2` of a float- or
 array-valued f(x, y) of a batch of points (..., n), with the batch axes
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMetric, DomainError
-from .metric import FinslerMetric, SamplePoint
+from .metric import FinslerMetric, SamplePoint, check_g, check_L
 
 
 def _richardson(stencil, h):
@@ -125,29 +125,19 @@ class FDPipeline:
         self.metric = metric
 
     def _L(self, x, y):
-        # one call of L on component arrays of the batch shape
-        return self.metric.evaluate(list(np.moveaxis(x, -1, 0)),
-                                    list(np.moveaxis(y, -1, 0)))
+        # one call of L on the batch's component arrays; a constant L is 0-d
+        v = self.metric.evaluate(list(np.moveaxis(x, -1, 0)),
+                                 list(np.moveaxis(y, -1, 0)))
+        return v if np.ndim(v) else np.broadcast_to(v, x.shape[:-1])
 
     def _E(self, x, y):
         v = self._L(x, y)
         return 0.5 * v * v
 
-    def g_at(self, x, y, h):
-        return _richardson(lambda hh: _d2(self._E, x, y, "y", "y", hh), h)
-
     def spray_at(self, x, y, h):
         """(g, G): the metric tensor and the spray at step h."""
-        g = self.g_at(x, y, h)
-        ev = np.linalg.eigvalsh(g)
-        bad = ev[..., 0] <= 1e-9 * np.abs(ev[..., -1])
-        if np.any(bad):
-            i = tuple(np.argwhere(bad)[0])
-            raise DegenerateMetric(
-                f"fundamental tensor not positive definite at "
-                f"x={x[i].tolist()}, y={y[i].tolist()} "
-                f"(smallest eigenvalue {ev[i][0]:.3e})",
-                min_eigenvalue=float(ev[i][0]))
+        g = _richardson(lambda hh: _d2(self._E, x, y, "y", "y", hh), h)
+        check_g(g, x, y)
         dEx = _richardson(lambda hh: _d1(self._E, x, y, "x", hh), h)
         dExy = _richardson(lambda hh: _d2(self._E, x, y, "x", "y", hh), h)
         # sum_k y^k d2E/dx^k dy^j - dE/dx^j, as a stacked matmul
@@ -175,13 +165,9 @@ class FDPipeline:
 
     def tensors(self, p: SamplePoint):
         """Dict of FD-backend values at p: L, g, G, N, Rhat, H, k."""
-        self.metric.check_point(p)
+        L = check_L(self.metric.L(p), p)
         x, y = p.x, p.y
         h = _base_h(x, y)
-        L = float(self._L(x, y))
-        if L <= 0.0:
-            raise DomainError(
-                f"L = {L:.6g} <= 0 at x={x.tolist()}, y={y.tolist()}")
         g, G = self.spray_at(x, y, h)
         N, Rhat = self._n_rhat(x, y, h)
         H, k = _deviation(y, Rhat, L)
@@ -196,5 +182,6 @@ class FDPipeline:
             Rhat = self._n_rhat(x, y, _base_h(x, y))[1]
             return _deviation(y, Rhat, self._L(x, y))[1]
 
+        L = check_L(self.metric.L(p), p)
         h = 1e-2 * (1.0 + float(np.max(np.abs(p.y))))
-        return float(self._L(p.x, p.y)) * _d1(k, p.x, p.y, "y", h)
+        return L * _d1(k, p.x, p.y, "y", h)

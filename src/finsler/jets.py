@@ -398,23 +398,29 @@ def _cis(u, part):
     return Jet(v.space, part(v.c).copy(), v.support)
 
 
+def _arg(u, what, zero_ok=False):
+    """The value of u (a float, an array or a jet's constant term), if no
+    element is <= 0 (with zero_ok, < 0); EvalDomainError otherwise."""
+    u0 = np.asarray(u.c[0] if isinstance(u, Jet) else u)
+    if np.any(u0 < 0.0 if zero_ok else u0 <= 0.0):
+        sign = "negative" if zero_ok else "non-positive"
+        raise EvalDomainError(f"{what} of a {sign} value")
+    return u0
+
+
 # generic math functions for metric evaluators: each takes a float, an
-# array (elementwise) or a jet
+# array (elementwise) or a jet, and checks its argument alike
 def sqrt(u):
-    if not isinstance(u, Jet):
-        return np.sqrt(u)
-    u0 = np.asarray(u.c[0])
-    if np.any(u0 <= 0.0):
-        raise EvalDomainError("sqrt of a non-positive value")
+    if not isinstance(u, Jet):  # defined at 0, unlike its derivatives
+        return np.sqrt(_arg(u, "sqrt", zero_ok=True))
+    u0 = _arg(u, "sqrt")
     return _solve(u, np.sqrt(u0), u0, 0.5, -1.0)
 
 
 def jpow(u, p):
     """u^p for a jet u and a non-integer power p, or for a jet exponent p
     (as exp(p log u))."""
-    u0 = np.asarray(u.c[0] if isinstance(u, Jet) else u)
-    if np.any(u0 <= 0.0):
-        raise EvalDomainError("non-integer power of a non-positive value")
+    u0 = _arg(u, "non-integer power")
     if isinstance(p, Jet):
         return exp(p * log(u))
     return _solve(u, u0 ** p, u0, p, -1.0)
@@ -427,11 +433,9 @@ def exp(u):
 
 
 def log(u):
+    u0 = _arg(u, "log")
     if not isinstance(u, Jet):
         return np.log(u)
-    u0 = np.asarray(u.c[0])
-    if np.any(u0 <= 0.0):
-        raise EvalDomainError("log of a non-positive value")
     return _solve(u, np.log(u0), u0, 0.0, -1.0, du=1.0)
 
 

@@ -1,4 +1,4 @@
-"""Finsler metric handle: dimension plus a generic evaluator for L(x, y).
+"""Finsler metric handle, and the one definition of the checks on L and g.
 
 The evaluator receives the chart coordinates and direction components as
 lists of generic scalars: floats, :class:`~finsler.jets.Jet` values, or
@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .errors import DomainError, HomogeneityError
+from .errors import DegenerateMetric, DomainError, HomogeneityError
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,8 @@ class FinslerMetric:
         for p in points:
             self.check_point(p)
             sp = jets.get_space(self.n, *REQUIRED_ORDERS["ell"])
-            L = self.evaluate(*sp.seed(p.x, p.y))
-            if not isinstance(L, jets.Jet):  # L is constant in y
-                L = sp.constant(L)
+            L = self.evaluate(*sp.seed(p.x, p.y))  # a float if constant
+            L = L if isinstance(L, jets.Jet) else sp.constant(L)
             val = L.value()
             euler = jets.d_y(L).value() @ p.y
             if abs(euler - val) > 1e-8 * max(abs(val), 1.0):
@@ -86,3 +85,32 @@ class FinslerMetric:
                     f"{self.name}: y.dL/dy = {euler:.6g} but L = {val:.6g} "
                     f"at x={p.x.tolist()}, y={p.y.tolist()}; L is not "
                     "positively homogeneous of degree 1")
+
+
+def L_fault(L: float) -> Optional[str]:
+    """Why the value L is not a positive number, or None if it is one."""
+    return "L is NaN" if np.isnan(L) else "L <= 0" if L <= 0.0 else None
+
+
+def check_L(L, p: SamplePoint) -> float:
+    """The value at p of L (a float, a 0-d array or a jet) as a float;
+    DomainError unless it is a positive number."""
+    val = float(L.value() if isinstance(L, jets.Jet) else L)
+    fault, x, y = L_fault(val), p.x.tolist(), p.y.tolist()
+    if fault:
+        raise DomainError(f"L = {val:.6g} <= 0 at x={x}, y={y}"
+                          if fault == "L <= 0" else f"{fault} at x={x}, y={y}")
+    return val
+
+
+def check_g(g, x, y):
+    """DegenerateMetric unless g at (x, y), or each g (..., n, n) of a
+    batch at (x, y) (..., n), has its least eigenvalue > 1e-9 |largest|."""
+    ev = np.linalg.eigvalsh(g)
+    bad = ev[..., 0] <= 1e-9 * np.abs(ev[..., -1])
+    if np.any(bad):
+        i = tuple(np.argwhere(bad)[0])  # () for one point
+        raise DegenerateMetric(
+            f"fundamental tensor not positive definite at x={x[i].tolist()}, "
+            f"y={y[i].tolist()} (smallest eigenvalue {ev[i][0]:.3e})",
+            min_eigenvalue=float(ev[i][0]))

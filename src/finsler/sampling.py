@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, EvalDomainError
-from .metric import FinslerMetric, SamplePoint
+from .metric import FinslerMetric, L_fault, SamplePoint
 
 _RADIUS = 0.4  # of the ball the base points are drawn from
 
@@ -52,28 +52,22 @@ def sample_points(metric: FinslerMetric, spec: SamplingSpec):
         x = radius * r * u / np.linalg.norm(u)
         v = rng.normal(size=n)
         y = rng.uniform(0.5, 2.0) * v / np.linalg.norm(v)
-        if not metric.in_domain(x):
-            _reject(metric, rejected, attempts, "outside domain", x, y)
-            continue
         p = SamplePoint(x, y)
-        try:
-            if metric.L(p) <= 0.0:
-                _reject(metric, rejected, attempts, "L <= 0", x, y)
-                continue
-        except (DomainError, EvalDomainError) as e:
-            _reject(metric, rejected, attempts, type(e).__name__, x, y,
-                    f": {e}")
+        fault, detail = "outside domain", ""
+        if metric.in_domain(x):
+            try:
+                fault = L_fault(metric.L(p))
+            except (DomainError, EvalDomainError) as e:
+                fault, detail = type(e).__name__, f": {e}"
+        if not fault:
+            points.append(p)
             continue
-        points.append(p)
+        rejected[fault] = rejected.get(fault, 0) + 1
+        # imported here, not with the package: logging adds about 5 ms to
+        # every start-up, and most runs reject no draw
+        import logging
+
+        logging.getLogger("finsler").debug(
+            "%s: rejected sample draw %d (%s) at x=%s, y=%s",
+            metric.name, attempts, fault + detail, x, y)
     return points
-
-
-def _reject(metric, rejected, attempt, reason, x, y, detail=""):
-    rejected[reason] = rejected.get(reason, 0) + 1
-    # imported here, not with the package: logging adds about 5 ms to
-    # every start-up, and most runs reject no draw
-    import logging
-
-    logging.getLogger("finsler").debug(
-        "%s: rejected sample draw %d (%s) at x=%s, y=%s",
-        metric.name, attempt, reason + detail, x, y)

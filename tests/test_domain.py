@@ -1,0 +1,187 @@
+"""Domain rules: L is a positive number, g is positive definite, and sqrt
+and log take arguments in their domain.  Each rule has one definition,
+so both backends, the metric language and sampling reject an input
+alike, with the same typed error and message."""
+
+import json
+import logging
+import warnings
+
+import numpy as np
+import pytest
+
+from finsler import catalog, cli, jets
+from finsler.dsl import eval_ast, parse_metric
+from finsler.engine import chart
+from finsler.errors import DegenerateMetric, DomainError, EvalDomainError
+from finsler.fdpipe import FDPipeline
+from finsler.metric import FinslerMetric, SamplePoint
+from finsler.sampling import SamplingSpec, sample_points
+from finsler.scalarclass import classify
+from finsler.suites import UNIVERSAL_SUITES, run_suites
+
+
+def _outcome(f):
+    """(type name, message) of the error f raises, or None."""
+    try:
+        f()
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+def _small_ball(x, y):
+    """A Python metric with no declared domain: real only for
+    |x|^2 < 1/40, which sqrt alone enforces."""
+    return jets.sqrt(1 - 40 * jets.dot(x, x)) * jets.sqrt(jets.dot(y, y))
+
+
+def _nan_where_x1_positive(x, y):
+    """|y|, made NaN by multiplication (not by sqrt or log) where x1 > 0."""
+    x1 = x[0].value() if isinstance(x[0], jets.Jet) else x[0]
+    norm = jets.sqrt(jets.dot(y, y))
+    return norm * np.nan if np.any(np.asarray(x1) > 0) else norm
+
+
+class TestSampling:
+    def test_undeclared_domain_keeps_only_positive_L(self):
+        """sqrt checks a float argument as it checks a jet's, so a draw
+        outside the metric's natural domain is rejected, not kept with
+        a NaN L that the suites then trip over."""
+        metric = FinslerMetric(n=3, evaluate=_small_ball, name="small_ball")
+        points = sample_points(metric, SamplingSpec(count=20, seed=0))
+        assert len(points) == 20
+        assert all(metric.L(p) > 0.0 for p in points)
+        records = run_suites(metric, points, UNIVERSAL_SUITES)
+        assert max(r["residual"] for r in records) < 1e-10
+
+    def test_nan_L_has_a_reason_of_its_own(self, caplog):
+        metric = FinslerMetric(n=3, evaluate=_nan_where_x1_positive,
+                               name="nan_half")
+        caplog.set_level(logging.DEBUG, logger="finsler")
+        points = sample_points(metric, SamplingSpec(count=10, seed=0))
+        assert all(p.x[0] <= 0.0 for p in points)
+        text = [r.getMessage() for r in caplog.records if r.name == "finsler"]
+        assert text and all("(L is NaN)" in t for t in text)
+
+    def test_nan_everywhere_counts_its_reason(self):
+        metric = FinslerMetric(
+            n=3, evaluate=lambda x, y: jets.sqrt(jets.dot(y, y)) * np.nan)
+        with pytest.raises(DomainError, match="L is NaN: 300"):
+            sample_points(metric, SamplingSpec(count=2, seed=0))
+
+
+class TestBackendParity:
+    """Both backends raise the same type with the same message."""
+
+    P_NAN = SamplePoint([0.1, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("evaluate,p", [
+        # L = -0.2 < 0
+        (lambda x, y: jets.sqrt(jets.dot(y, y)) + 2 * jets.dot(x, y),
+         SamplePoint([-0.6, 0.0, 0.0], [1.0, 0.0, 0.0])),
+        # g has signature (+, +, -)
+        (lambda x, y: jets.sqrt(y[0] * y[0] + y[1] * y[1] - y[2] * y[2]),
+         SamplePoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.1])),
+        # NaN by multiplication
+        (_nan_where_x1_positive, P_NAN),
+        # L depends on neither x nor y, so g = 0
+        (lambda x, y: 1.0, SamplePoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])),
+    ], ids=["L-negative", "g-indefinite", "L-nan", "L-constant"])
+    def test_same_error(self, evaluate, p):
+        metric = FinslerMetric(n=3, evaluate=evaluate)
+        jet = _outcome(lambda: chart(metric, p, "G").G)
+        fd = _outcome(lambda: FDPipeline(metric).tensors(p))
+        assert jet is not None and jet[0] in ("DomainError",
+                                              "DegenerateMetric")
+        assert jet == fd
+
+    def test_nan_L_is_a_domain_error(self):
+        metric = FinslerMetric(n=3, evaluate=_nan_where_x1_positive)
+        for f in (lambda: chart(metric, self.P_NAN, "G"),
+                  lambda: FDPipeline(metric).tensors(self.P_NAN),
+                  lambda: FDPipeline(metric).c_form(self.P_NAN)):
+            with pytest.raises(DomainError, match="L is NaN at x="):
+                f()
+
+    def test_c_form_checks_its_point(self):
+        """c_form checks the point as tensors does: outside funk's ball
+        both raise DomainError, where c_form once fell through to a
+        LinAlgError."""
+        fd = FDPipeline(catalog.funk(3))
+        p = SamplePoint([1.2, 0.0, 0.0], [1.0, 0.0, 0.0])
+        assert _outcome(lambda: fd.c_form(p)) == _outcome(
+            lambda: fd.tensors(p))
+        with pytest.raises(DomainError, match="outside chart domain"):
+            fd.c_form(p)
+
+    def test_c_form_checks_L(self):
+        metric = FinslerMetric(
+            n=3, evaluate=lambda x, y: jets.sqrt(jets.dot(y, y))
+            + 2 * jets.dot(x, y))
+        p = SamplePoint([-0.6, 0.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="L = -0.2 <= 0 at x="):
+            FDPipeline(metric).c_form(p)
+
+
+class TestConstantL:
+    """An evaluator that ignores x and y returns a float, not a jet: it
+    is read as a constant jet, and g = 0 ends in DegenerateMetric."""
+
+    METRIC = FinslerMetric(n=3, evaluate=lambda x, y: 1.0, name="constant")
+
+    @pytest.mark.parametrize("backend", ["jet", "fd"])
+    def test_classify_raises_degenerate(self, backend):
+        with pytest.raises(DegenerateMetric) as info:
+            classify(self.METRIC, SamplingSpec(count=2, seed=0),
+                     backend=backend)
+        assert info.value.min_eigenvalue == 0.0
+
+    def test_cli_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_build_metric", lambda cfg: self.METRIC)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"metric": {}}))
+        assert cli.main(["verify", "--config", str(path)]) == cli.EXIT_RUNTIME
+        assert "not positive definite" in capsys.readouterr().err
+
+
+class TestFunctionArguments:
+    """sqrt and log check a float, an array and a jet alike: a typed
+    error, never a NaN with a RuntimeWarning."""
+
+    @staticmethod
+    def _arguments():
+        u = jets.get_space(2, 1, 1).seed([0.3, -0.2], [1.1, 0.7])[1][0]
+        return {"float": -1.0, "array": np.array([1.0, -1.0]),
+                "jet": u - 2.0}
+
+    @pytest.mark.parametrize("kind", ["float", "array", "jet"])
+    @pytest.mark.parametrize("name", ["sqrt", "log"])
+    def test_negative_argument(self, name, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalDomainError, match=f"^{name} of a"):
+                getattr(jets, name)(self._arguments()[kind])
+
+    def test_zero(self):
+        """sqrt is defined at 0 and its derivative is not; log is not."""
+        assert jets.sqrt(0.0) == 0.0
+        np.testing.assert_array_equal(jets.sqrt(np.zeros(2)), 0.0)
+        u = jets.get_space(2, 1, 1).seed([0.0, 0.0], [1.0, 0.0])[0][0]
+        for f, arg in ((jets.sqrt, u), (jets.log, u), (jets.log, 0.0)):
+            with pytest.raises(EvalDomainError, match="non-positive"):
+                f(arg)
+
+    @pytest.mark.parametrize("seed,message", [
+        (False, "sqrt of a negative value (in 'sqrt(y1)')"),
+        (True, "sqrt of a non-positive value (in 'sqrt(y1)')"),
+    ], ids=["float", "jet"])
+    def test_dsl_names_the_subexpression(self, seed, message):
+        """The language keeps only the naming: its messages are those of
+        the generic functions, with the failing subexpression."""
+        x, y = [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]
+        if seed:
+            x, y = jets.get_space(3, 1, 1).seed(x, y)
+        with pytest.raises(EvalDomainError) as info:
+            eval_ast(parse_metric("sqrt(y1)", 3), x, y)
+        assert str(info.value) == message
