@@ -14,8 +14,8 @@ from finsler.metric import SamplePoint
 metric = catalog.funk(3)
 p = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 
-# a ChartJets at the jet orders the frame needs
-cj = chart(metric, p, "g_inv")
+# a ChartJets at the jet orders of what the frame reads: (0, 2)
+cj = chart(metric, p, "g", "phi", "hbar")
 L, g, ell = cj.L.value(), cj.g.value(), cj.ell.value()
 phi, hbar = cj.phi.value(), cj.hbar
 

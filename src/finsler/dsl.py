@@ -319,16 +319,7 @@ def _ev(node, x, y, consts):
             if _near_zero(b):
                 _fail("division by zero", node)
             return a / b
-        # '^'; a varying exponent is exp(b log a)
-        if isinstance(b, jets.Jet):
-            return _named(node, lambda: jets.jpow(a, b))
-        if isinstance(a, jets.Jet):
-            return _named(node, lambda: a ** b)
-        if np.any((np.asarray(a) < 0) & (np.floor(b) != b)):
-            _fail("fractional power of a negative value", node)
-        if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
-            _fail("division by zero", node)
-        return np.power(a, b)
+        return _named(node, lambda: jets.jpow(a, b))  # '^'
     if isinstance(node, Call):
         if node.func == "sqrt":
             arg = _ev(node.args[0], x, y, consts)

@@ -13,8 +13,9 @@ tolerance and are only available on the jet backend.
 Every derivative is :func:`_d1` or :func:`_d2` of a float- or
 array-valued f(x, y) of a batch of points (..., n), with the batch axes
 first and the derivative axes after f's own.  A stencil evaluates f once
-on all its points, as one more batch axis, so nested stencils call L once
-per innermost stencil.
+on all its points, as one more batch axis, and a Richardson pair puts its
+two steps on one batch axis more, so nested stencils call L once per
+innermost Richardson pair.
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ import numpy as np
 from .metric import FinslerMetric, SamplePoint, check_g, check_L
 
 
-def _richardson(stencil, h):
-    """(4 T(h/2) - T(h)) / 3 for a tensor-valued stencil callable."""
-    return (4.0 * np.asarray(stencil(h / 2.0)) - np.asarray(stencil(h))) / 3.0
+def _richardson(stencil, f, x, y, *vars, h):
+    """(4 T(h/2) - T(h)) / 3 for T = stencil(f, x, y, *vars, step), in one
+    call of the stencil: the two steps are a new last batch axis."""
+    hh = np.stack(np.broadcast_arrays(h / 2.0, h), axis=-1)
+    T = stencil(f, x[..., None, :], y[..., None, :], *vars, hh)
+    T = np.moveaxis(T, x.ndim - 1, 0)
+    return (4.0 * T[0] - T[1]) / 3.0
 
 
 def _base_h(x, y):
@@ -109,12 +114,6 @@ def _d2(f, x, y, va, vb, h):
     return out
 
 
-def _deviation(y, Rhat, L):
-    """H^i_j = y^k Rhat^i_kj and k = tr H / ((n-1) L^2)."""
-    H = np.einsum("...k,...ikj->...ij", y, Rhat)
-    return H, np.trace(H, axis1=-2, axis2=-1) / ((y.shape[-1] - 1) * L * L)
-
-
 class FDPipeline:
     """All FD-backend quantities for one metric; evaluation is pointwise
     through :meth:`tensors` and :meth:`c_form`.  The other methods take
@@ -136,41 +135,42 @@ class FDPipeline:
 
     def spray_at(self, x, y, h):
         """(g, G): the metric tensor and the spray at step h."""
-        g = _richardson(lambda hh: _d2(self._E, x, y, "y", "y", hh), h)
+        g = _richardson(_d2, self._E, x, y, "y", "y", h=h)
         check_g(g, x, y)
-        dEx = _richardson(lambda hh: _d1(self._E, x, y, "x", hh), h)
-        dExy = _richardson(lambda hh: _d2(self._E, x, y, "x", "y", hh), h)
+        dEx = _richardson(_d1, self._E, x, y, "x", h=h)
+        dExy = _richardson(_d2, self._E, x, y, "x", "y", h=h)
         # sum_k y^k d2E/dx^k dy^j - dE/dx^j, as a stacked matmul
         lhs = (y[..., None, :] @ dExy)[..., 0, :] - dEx
         return g, 0.5 * np.linalg.solve(g, lhs[..., None])[..., 0]
 
-    def _n_rhat(self, x, y, h):
-        """N^i_j = dG^i/dy^j and Rhat^i_jk = delta_k N^i_j - delta_j N^i_k
-        from spray evaluations at inner step h."""
-        hs = _trail(h, 1)  # one inner step per stencil point
+    def _curvature(self, x, y, L):
+        """N^i_j = dG^i/dy^j, Rhat^i_jk = delta_k N^i_j - delta_j N^i_k,
+        H^i_j = y^k Rhat^i_kj and k = tr H / ((n-1) L^2), from spray
+        evaluations at the base step."""
+        h = _base_h(x, y)
+        hs = _trail(h, 2)  # per point, over a pair's step and stencil axes
 
         def G(xx, yy):
             return self.spray_at(xx, yy, hs)[1]
 
-        N = _richardson(lambda hh: _d1(G, x, y, "y", hh), h)
+        N = _richardson(_d1, G, x, y, "y", h=h)
         # wider outer step: each spray evaluation carries ~1e-9 noise,
-        # and second differences divide it by hh^2
-        h2 = 20.0 * h
-        Gxy = _richardson(lambda hh: _d2(G, x, y, "x", "y", hh), h2)
-        Gyy = _richardson(lambda hh: _d2(G, x, y, "y", "y", hh), h2)
+        # and second differences divide it by h^2
+        Gxy = _richardson(_d2, G, x, y, "x", "y", h=20.0 * h)
+        Gyy = _richardson(_d2, G, x, y, "y", "y", h=20.0 * h)
         # delta_c N^i_j = d2G^i/dx^c dy^j - N^m_c d2G^i/dy^m dy^j
         dN = np.einsum("...icj->...ijc", Gxy) - np.einsum(
             "...mc,...ijm->...ijc", N, np.einsum("...imj->...ijm", Gyy))
-        return N, dN - np.swapaxes(dN, -1, -2)
+        Rhat = dN - np.swapaxes(dN, -1, -2)
+        H = np.einsum("...k,...ikj->...ij", y, Rhat)
+        k = np.trace(H, axis1=-2, axis2=-1) / ((y.shape[-1] - 1) * L * L)
+        return N, Rhat, H, k
 
     def tensors(self, p: SamplePoint):
         """Dict of FD-backend values at p: L, g, G, N, Rhat, H, k."""
         L = check_L(self.metric.L(p), p)
-        x, y = p.x, p.y
-        h = _base_h(x, y)
-        g, G = self.spray_at(x, y, h)
-        N, Rhat = self._n_rhat(x, y, h)
-        H, k = _deviation(y, Rhat, L)
+        g, G = self.spray_at(p.x, p.y, _base_h(p.x, p.y))
+        N, Rhat, H, k = self._curvature(p.x, p.y, L)
         return {"L": L, "g": g, "G": G, "N": N, "Rhat": Rhat,
                 "H": H, "k": float(k)}
 
@@ -179,8 +179,7 @@ class FDPipeline:
         curvature closure (no Richardson: each evaluation is itself a
         deep FD pipeline), with the 2n k-points in one batch."""
         def k(x, y):
-            Rhat = self._n_rhat(x, y, _base_h(x, y))[1]
-            return _deviation(y, Rhat, self._L(x, y))[1]
+            return self._curvature(x, y, self._L(x, y))[3]
 
         L = check_L(self.metric.L(p), p)
         h = 1e-2 * (1.0 + float(np.max(np.abs(p.y))))

@@ -293,16 +293,6 @@ class Jet:
         return self.reciprocal() * other
 
     def __pow__(self, p):
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
-            p = int(p)
-            if p == 0:
-                return self.space.constant(np.ones(self.shape))
-            if p < 0:
-                return self.reciprocal() ** (-p)
-            out = self
-            for _ in range(p - 1):
-                out = out * self
-            return out
         return jpow(self, p)
 
     # ---- structure ----------------------------------------------------
@@ -418,8 +408,22 @@ def sqrt(u):
 
 
 def jpow(u, p):
-    """u^p for a jet u and a non-integer power p, or for a jet exponent p
-    (as exp(p log u))."""
+    """u^p, each of u and p a float, an array (elementwise) or a jet.  A
+    jet exponent is exp(p log u), for u > 0; an integral p is a product of
+    jets, or np.power; any other p needs u > 0 for a jet and u >= 0
+    otherwise, as under sqrt."""
+    if not isinstance(u, Jet) and not isinstance(p, Jet):
+        _arg(np.where(np.floor(p) != p, u, 0.0), "non-integer power",
+             zero_ok=True)
+        if np.any((np.asarray(u) == 0.0) & (np.asarray(p) < 0.0)):
+            raise EvalDomainError("division by zero")
+        return np.power(u, p)
+    if not isinstance(p, Jet) and float(p).is_integer():
+        if p == 0:
+            return u.space.constant(np.ones(u.shape))
+        if p < 0:
+            return jpow(u.reciprocal(), -p)
+        return functools.reduce(Jet.__mul__, [u] * int(p))
     u0 = _arg(u, "non-integer power")
     if isinstance(p, Jet):
         return exp(p * log(u))

@@ -1,5 +1,5 @@
-"""Domain rules: L is a positive number, g is positive definite, and sqrt
-and log take arguments in their domain.  Each rule has one definition,
+"""Domain rules: L is a positive number, g is positive definite, and sqrt,
+log and powers take arguments in their domain.  Each rule has one definition,
 so both backends, the metric language and sampling reject an input
 alike, with the same typed error and message."""
 
@@ -185,3 +185,48 @@ class TestFunctionArguments:
         with pytest.raises(EvalDomainError) as info:
             eval_ast(parse_metric("sqrt(y1)", 3), x, y)
         assert str(info.value) == message
+
+
+NEGATIVE = "non-integer power of a negative value"
+NON_POSITIVE = "non-integer power of a non-positive value"
+
+
+class TestPowerRule:
+    """One power rule, jets.jpow, for a float, an array and a jet base and
+    exponent alike; the language's '^' only names the subexpression."""
+
+    @staticmethod
+    def _point(kind):
+        x, y = [0.0, 0.5, 0.0], [1.0, 0.0, 0.0]
+        if kind == "array":
+            return [np.full(2, v) for v in x], [np.full(2, v) for v in y]
+        if kind == "jet":
+            return jets.get_space(3, 1, 1).seed(x, y)
+        return x, y
+
+    @pytest.mark.parametrize("src,outcome", [
+        ("(x1 - 1)^0.5", {"float": NEGATIVE, "array": NEGATIVE,
+                          "jet": NON_POSITIVE}),
+        ("x1^0.5", {"float": 0.0, "array": 0.0, "jet": NON_POSITIVE}),
+        ("x1^-1", {"float": "division by zero", "array": "division by zero",
+                   "jet": "division by (near) zero"}),
+        ("x1^-0.5", {"float": "division by zero",
+                     "array": "division by zero", "jet": NON_POSITIVE}),
+        ("(x1 - 1)^x2", {"float": NEGATIVE, "array": NEGATIVE,
+                         "jet": NON_POSITIVE}),
+    ], ids=["non-integer-negative", "non-integer-zero", "integer-zero",
+            "negative-non-integer-zero", "jet-exponent"])
+    @pytest.mark.parametrize("kind", ["float", "array", "jet"])
+    def test_at_x1_zero(self, src, outcome, kind):
+        """At x1 = 0, each rule gives one value or one message per kind of
+        argument, and never a RuntimeWarning."""
+        want, ast = outcome[kind], parse_metric(src, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(want, float):
+                np.testing.assert_array_equal(
+                    eval_ast(ast, *self._point(kind)), want)
+                return
+            with pytest.raises(EvalDomainError) as info:
+                eval_ast(ast, *self._point(kind))
+        assert str(info.value).startswith(f"{want} (in ")

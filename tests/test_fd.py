@@ -65,12 +65,12 @@ class TestStencils:
         def f(x, y):
             return np.sin(x[..., 0]) * (y * y).sum(axis=-1)
 
-        grad = _richardson(lambda hh: _d1(f, P.x, P.y, "x", hh), 1e-3)
+        grad = _richardson(_d1, f, P.x, P.y, "x", h=1e-3)
         expected = math.cos(P.x[0]) * float(P.y @ P.y)
         assert grad[0] == pytest.approx(expected, abs=1e-8)
         assert abs(grad[1]) < 1e-8
         # d2f/dx^c dy^j is not symmetric in (c, j), so this pins the layout
-        mixed = _richardson(lambda hh: _d2(f, P.x, P.y, "x", "y", hh), 1e-3)
+        mixed = _richardson(_d2, f, P.x, P.y, "x", "y", h=1e-3)
         assert mixed[0] == pytest.approx(2.0 * math.cos(P.x[0]) * P.y,
                                          abs=1e-8)
         assert np.abs(mixed[1:]).max() < 1e-8
@@ -93,13 +93,14 @@ class TestStencils:
                (0, 2): d_y(d_y(L))}
         x, y, f, h = P.x, P.y, FDPipeline(metric)._L, _base_h(P.x, P.y)
         stencils = {
-            (1, 0): lambda hh: _d1(f, x, y, "x", hh),
-            (0, 1): lambda hh: _d1(f, x, y, "y", hh),
-            (1, 1): lambda hh: _d2(f, x, y, "x", "y", hh),  # [x, y] axes
-            (0, 2): lambda hh: _d2(f, x, y, "y", "y", hh),
+            (1, 0): (_d1, "x"),
+            (0, 1): (_d1, "y"),
+            (1, 1): (_d2, "x", "y"),  # [x, y] axes
+            (0, 2): (_d2, "y", "y"),
         }
-        for key, stencil in stencils.items():
-            jv, fv = jet[key].value(), _richardson(stencil, h)
+        for key, (stencil, *vars) in stencils.items():
+            jv = jet[key].value()
+            fv = _richardson(stencil, f, x, y, *vars, h=h)
             rel = np.abs(jv - fv).max() / max(np.abs(jv).max(), 1e-12)
             assert rel < 1e-5, (key, rel)
 
@@ -124,10 +125,7 @@ class TestStencils:
     def test_batch_equals_points(self):
         """On a (2, 2) batch of points, with one step per point, every
         stencil equals, bit for bit, its per-point results."""
-        rng = np.random.Generator(np.random.Philox(5))
-        X = rng.uniform(-0.4, 0.4, size=(2, 2, 3))
-        Y = rng.normal(size=(2, 2, 3))
-        h = _base_h(X, Y)
+        X, Y, h = _batch()
         for stencil in (lambda x, y, hh: _d1(_field, x, y, "x", hh),
                         lambda x, y, hh: _d1(_field, x, y, "y", hh),
                         lambda x, y, hh: _d2(_field, x, y, "x", "y", hh),
@@ -138,6 +136,19 @@ class TestStencils:
             assert out.shape == (2, 2, 3) + points.shape[3:]
             assert out.tobytes() == points.tobytes()
 
+    def test_richardson_pair_equals_two_calls(self):
+        """On the (2, 2) batch, with one step per point, a Richardson pair
+        evaluated in one stencil call equals, bit for bit, (4 T(h/2) -
+        T(h)) / 3 from two calls: evaluating both steps on one batch axis
+        moves no value of the pipeline."""
+        X, Y, h = _batch()
+        for stencil, *vars in ((_d1, "x"), (_d1, "y"), (_d2, "x", "y"),
+                               (_d2, "y", "y")):
+            one = _richardson(stencil, _field, X, Y, *vars, h=h)
+            two = (4.0 * stencil(_field, X, Y, *vars, h / 2.0)
+                   - stencil(_field, X, Y, *vars, h)) / 3.0
+            assert one.shape == two.shape
+            assert one.tobytes() == two.tobytes()
 
     def test_matches_pointwise_loop(self):
         """Bit for bit the stencils of a loop that evaluates f at one
@@ -150,6 +161,14 @@ class TestStencils:
         for va, vb in (("x", "y"), ("y", "y"), ("x", "x")):
             assert (_d2(_field, P.x, P.y, va, vb, h).tobytes()
                     == _loop_d2(_field, P.x, P.y, va, vb, h).tobytes())
+
+
+def _batch():
+    """A (2, 2) batch of points (..., 3) and one step per point."""
+    rng = np.random.Generator(np.random.Philox(5))
+    X = rng.uniform(-0.4, 0.4, size=(2, 2, 3))
+    Y = rng.normal(size=(2, 2, 3))
+    return X, Y, _base_h(X, Y)
 
 
 def _shift(z, h, *steps):
@@ -206,9 +225,9 @@ def _field(x, y):
 
 class TestWork:
     def test_few_calls_of_L_per_point(self):
-        """Each stencil is one call of L on all its points: one tensors
-        and c_form point on funk makes well under 1,000 calls (about 10^5
-        with one call per stencil point)."""
+        """Each Richardson pair is one call of L on all its points: one
+        tensors and c_form point on funk makes at most 24 calls (about
+        10^5 with one call per stencil point)."""
         funk = catalog.funk(3)
         calls = []
 
@@ -219,12 +238,16 @@ class TestWork:
         fd = FDPipeline(dataclasses.replace(funk, evaluate=counted))
         fd.tensors(P)
         fd.c_form(P)
-        assert len(calls) <= 1000
-        assert sum(math.prod(shape) for shape in calls) > 10 ** 5
+        points = sum(math.prod(shape) for shape in calls)
+        print(f"tensors + c_form on funk: {len(calls)} calls of L, "
+              f"{points} points, largest batch {max(map(math.prod, calls))}")
+        assert len(calls) <= 24
+        assert points > 10 ** 5
 
     def test_tensors_calls_of_L(self):
-        """tensors alone makes at most 43 calls of L: g comes with the
-        spray, not from a second metric-tensor stencil."""
+        """tensors alone makes at most 13 calls of L: one for L, one per
+        Richardson pair of the spray (g comes with it), and three sprays
+        for the curvature."""
         funk = catalog.funk(3)
         calls = []
 
@@ -233,7 +256,8 @@ class TestWork:
             return funk.evaluate(x, y)
 
         FDPipeline(dataclasses.replace(funk, evaluate=counted)).tensors(P)
-        assert len(calls) <= 43
+        print(f"tensors on funk: {len(calls)} calls of L")
+        assert len(calls) <= 13
 
     def test_degenerate_metric_names_one_point(self):
         """DegenerateMetric names the first degenerate point of a batch
