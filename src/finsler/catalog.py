@@ -18,6 +18,11 @@ from .jets import dot, sin, sqrt
 from .metric import FinslerMetric
 
 
+def _ball(r2):
+    """The domain |x|^2 < r2."""
+    return lambda x: float(np.dot(x, x)) < r2
+
+
 def euclidean(n):
     """L = |y|; flat, k = 0 everywhere."""
 
@@ -35,15 +40,11 @@ def riemannian_space_form(n, kappa=1.0):
         conf = 1.0 + 0.25 * kappa * dot(x, x)
         return sqrt(dot(y, y)) / conf
 
+    domain, desc = None, "all of R^n"
     if kappa < 0:
         r2max = -4.0 / kappa  # conformal factor must stay positive
-
-        def domain(x):
-            return float(np.dot(x, x)) < 0.99 * r2max
-
+        domain = _ball(0.99 * r2max)
         desc = f"|x|^2 < {r2max:g} (conformal factor positive)"
-    else:
-        domain, desc = None, "all of R^n"
     return FinslerMetric(n=n, evaluate=L,
                          name=f"riemannian_space_form(kappa={kappa:g})",
                          domain=domain, domain_desc=desc)
@@ -59,10 +60,7 @@ def funk(n):
         one_m = 1.0 - xx
         return (sqrt(one_m * yy + xy * xy) + xy) / one_m
 
-    def domain(x):
-        return float(np.dot(x, x)) < 1.0
-
-    return FinslerMetric(n=n, evaluate=L, name="funk", domain=domain,
+    return FinslerMetric(n=n, evaluate=L, name="funk", domain=_ball(1.0),
                          domain_desc="open unit ball |x| < 1")
 
 
@@ -73,10 +71,8 @@ def randers_pflat(n):
     def L(x, y):
         return sqrt(dot(y, y)) + dot(x, y)
 
-    def domain(x):
-        return float(np.dot(x, x)) < 1.0
-
-    return FinslerMetric(n=n, evaluate=L, name="randers_pflat", domain=domain,
+    return FinslerMetric(n=n, evaluate=L, name="randers_pflat",
+                         domain=_ball(1.0),
                          domain_desc="open unit ball |x| < 1")
 
 

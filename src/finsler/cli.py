@@ -42,7 +42,7 @@ from . import __version__
 from .catalog import _param_ok, build_catalog_metric
 from .dsl import metric_from_dsl
 from .engine import chart
-from .errors import ConfigError, DslError, FinslerError, HomogeneityError
+from .errors import ConfigError, DslError, FinslerError
 from .fdpipe import FDPipeline
 from .sampling import SamplingSpec, sample_points
 from .scalarclass import check_dimension, classify
@@ -54,6 +54,9 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 DEFAULT_TOL = 1e-6
+
+# the fields of a jet-backend ``tensors`` record; they set its chart orders
+JET_TENSORS = ("L", "g", "G", "N", "Gamma", "Rhat", "H", "k", "C", "B", "A")
 
 
 def _load_config(path):
@@ -200,14 +203,9 @@ def cmd_tensors(cfg, args):
         _emit(stream, _header("tensors", cfg, metric, spec, backend))
         for idx, p in enumerate(points):
             if backend == "jet":
-                cj = chart(metric, p, "A")
-                values = {
-                    "L": cj.L.value(), "g": cj.g.value(), "G": cj.G.value(),
-                    "N": cj.N.value(), "Gamma": cj.Gamma.value(),
-                    "Rhat": cj.Rhat.value(), "H": cj.H.value(),
-                    "k": cj.k.value(), "C": cj.C.value(),
-                    "B": cj.B.value(), "A": cj.A.value(),
-                }
+                cj = chart(metric, p, *JET_TENSORS)
+                values = {name: getattr(cj, name).value()
+                          for name in JET_TENSORS}
             else:
                 values = dict(fd.tensors(p))
                 values["C"] = fd.c_form(p)
@@ -306,7 +304,7 @@ def main(argv=None):
     except (ConfigError, DslError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (HomogeneityError, FinslerError) as e:
+    except FinslerError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

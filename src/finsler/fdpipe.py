@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .metric import FinslerMetric, SamplePoint, check_g, check_L
 
 
@@ -166,9 +167,29 @@ class FDPipeline:
         k = np.trace(H, axis1=-2, axis2=-1) / ((y.shape[-1] - 1) * L * L)
         return N, Rhat, H, k
 
+    def _check_reach(self, p, y):
+        """DomainError unless _curvature at p.x and the directions y
+        (..., n) evaluates L only inside the domain: its R-hat stencils
+        move one component of x by 10h or 20h, and the spray's stencils
+        at each such point one more by h/2 or h."""
+        if self.metric.domain is None:
+            return
+        # no move, and each move of one stencil along an axis
+        M = np.concatenate([np.zeros((1, p.n))] + [
+            s * np.eye(p.n) for s in (0.5, -0.5, 1.0, -1.0)])
+        for h in dict.fromkeys(_base_h(*np.broadcast_arrays(p.x, y)).flat):
+            for x in (p.x + (20.0 * h) * M[:, None] + h * M).reshape(-1, p.n):
+                if not self.metric.in_domain(x):
+                    raise DomainError(
+                        f"FD stencils at x={p.x.tolist()}, y={p.y.tolist()} "
+                        f"reach x={x.tolist()}, {np.linalg.norm(x - p.x):.3g}"
+                        f" away, outside chart domain "
+                        f"({self.metric.domain_desc})")
+
     def tensors(self, p: SamplePoint):
         """Dict of FD-backend values at p: L, g, G, N, Rhat, H, k."""
         L = check_L(self.metric.L(p), p)
+        self._check_reach(p, p.y)
         g, G = self.spray_at(p.x, p.y, _base_h(p.x, p.y))
         N, Rhat, H, k = self._curvature(p.x, p.y, L)
         return {"L": L, "g": g, "G": G, "N": N, "Rhat": Rhat,
@@ -179,6 +200,7 @@ class FDPipeline:
         curvature closure (no Richardson: each evaluation is itself a
         deep FD pipeline), with the 2n k-points in one batch."""
         def k(x, y):
+            self._check_reach(p, y)
             return self._curvature(x, y, self._L(x, y))[3]
 
         L = check_L(self.metric.L(p), p)

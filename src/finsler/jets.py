@@ -253,16 +253,11 @@ class Jet:
 
     # ---- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, Jet):
-            a, b = shared([self, other])
-            ca, cb = _align(a.c, b.c)
-            return Jet(a.space, ca + cb, tuple(map(max, a.support, b.support)))
-        other = np.asarray(other, dtype=float)
-        shape = np.broadcast_shapes(self.shape, other.shape)
-        c = np.zeros((self.space.T,) + shape)
-        c += _align(self.c, other[None])[0]
-        c[0] += other
-        return Jet(self.space, c, self.support)
+        if not isinstance(other, Jet):
+            other = self.space.constant(other)
+        a, b = shared([self, other])
+        ca, cb = _align(a.c, b.c)
+        return Jet(a.space, ca + cb, tuple(map(max, a.support, b.support)))
 
     __radd__ = __add__
 

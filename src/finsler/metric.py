@@ -105,9 +105,13 @@ def check_L(L, p: SamplePoint) -> float:
 
 def check_g(g, x, y):
     """DegenerateMetric unless g at (x, y), or each g (..., n, n) of a
-    batch at (x, y) (..., n), has its least eigenvalue > 1e-9 |largest|."""
-    ev = np.linalg.eigvalsh(g)
-    bad = ev[..., 0] <= 1e-9 * np.abs(ev[..., -1])
+    batch at (x, y) (..., n), is finite and has its least eigenvalue
+    > 1e-9 |largest|; a g that is not finite has the eigenvalues nan."""
+    ok = np.isfinite(g).all(axis=(-2, -1))
+    ev = np.linalg.eigvalsh(g if ok.all() else np.where(ok[..., None, None],
+                                                        g, 0.0))
+    ev[~ok] = np.nan
+    bad = ~(ev[..., 0] > 1e-9 * np.abs(ev[..., -1]))
     if np.any(bad):
         i = tuple(np.argwhere(bad)[0])  # () for one point
         raise DegenerateMetric(

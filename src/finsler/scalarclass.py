@@ -58,64 +58,51 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
     tol = JET_TOL if backend == "jet" else FD_TOL
     points = sample_points(metric, spec)
 
-    iso = []
-    ks = []
-    c_norm = []
-    b_norm = []
-    a_norm = []
+    iso, ks = [], []
+    norms = {"C": [], "B": [], "A": []}  # the FD backend fills only C
     fd = FDPipeline(metric)
     for p in points:
         if backend == "jet":
             cj = chart(metric, p, "A")
-            k = float(cj.k.value())
-            iso.append(suites.isotropy(cj.H.value(), k, cj.L.value(),
-                                       cj.phi.value()))
-            ks.append(k)
-            c_norm.append(float(np.abs(cj.C.value()).max()))
-            b_norm.append(float(np.abs(cj.B.value()).max()))
-            a_norm.append(float(np.abs(cj.A.value()).max()))
+            H, k, L, phi = (a.value() for a in (cj.H, cj.k, cj.L, cj.phi))
+            for name, norm in norms.items():
+                norm.append(suites._mx(getattr(cj, name).value()))
         else:
             T = fd.tensors(p)
-            ell = T["g"] @ p.y / T["L"]
-            phi = np.eye(metric.n) - np.outer(p.y, ell) / T["L"]
-            iso.append(suites.isotropy(T["H"], T["k"], T["L"], phi))
-            ks.append(T["k"])
-            c_norm.append(float(np.abs(fd.c_form(p)).max()))
+            H, k, L = T["H"], T["k"], T["L"]
+            phi = np.eye(metric.n) - np.outer(p.y, T["g"] @ p.y / L) / L
+            norms["C"].append(suites._mx(fd.c_form(p)))
+        iso.append(suites.isotropy(H, k, L, phi))
+        ks.append(k)
 
     max_iso = max(iso)
-    max_c = max(c_norm)
     k_mean = float(np.mean(ks))
     k_std = float(np.std(ks))
-    std_tol = 1e-6 * (1.0 + abs(k_mean)) if backend == "jet" \
-        else 1e-2 * (1.0 + abs(k_mean))
+    std_tol = (1e-6 if backend == "jet" else 1e-2) * (1.0 + abs(k_mean))
+    maxes = {name: max(norm) for name, norm in norms.items() if norm}
 
     is_scalar = max_iso < tol
-    c_vanishes = max_c < tol
-    k_steady = k_std < std_tol
+    c_vanishes = maxes["C"] < tol
 
     residuals = {
         "max_isotropy_residual": {"value": max_iso, "tolerance": tol},
-        "max_C_norm": {"value": max_c, "tolerance": tol},
+        **{f"max_{name}_norm": {"value": value, "tolerance": tol}
+           for name, value in maxes.items()},
         "k_std": {"value": k_std, "tolerance": std_tol},
     }
 
-    if backend == "jet":
-        # cross-validate the redundant constancy criteria
-        max_b, max_a = max(b_norm), max(a_norm)
-        residuals["max_B_norm"] = {"value": max_b, "tolerance": tol}
-        residuals["max_A_norm"] = {"value": max_a, "tolerance": tol}
-        b_vanishes = max_b < tol
-        a_vanishes = max_a < tol
-        if not (c_vanishes == b_vanishes == a_vanishes):
-            raise InternalInconsistency(
-                f"constancy criteria disagree on {metric.name}: "
-                f"|C|={max_c:.3e}, |B|={max_b:.3e}, |A|={max_a:.3e} "
-                f"at tolerance {tol:g}")
-        # the spread of one k value is always 0
-        if c_vanishes != k_steady and is_scalar and len(ks) > 1:
-            raise InternalInconsistency(
-                f"C-criterion and k-spread witness disagree on "
-                f"{metric.name}: |C|={max_c:.3e}, std(k)={k_std:.3e}")
+    # cross-validate the redundant constancy criteria (jet backend only)
+    if len({value < tol for value in maxes.values()}) > 1:
+        raise InternalInconsistency(
+            f"constancy criteria disagree on {metric.name}: "
+            f"|C|={maxes['C']:.3e}, |B|={maxes['B']:.3e}, "
+            f"|A|={maxes['A']:.3e} at tolerance {tol:g}")
+    # the spread of one k value is always 0
+    if backend == "jet" and c_vanishes != (k_std < std_tol) and is_scalar \
+            and len(ks) > 1:
+        raise InternalInconsistency(
+            f"C-criterion and k-spread witness disagree on "
+            f"{metric.name}: |C|={maxes['C']:.3e}, std(k)={k_std:.3e}")
 
     if not is_scalar:
         verdict = "generic"

@@ -205,14 +205,6 @@ def suite_prop21(cj: ChartJets):
     }
 
 
-def projected_norms(cj: ChartJets):
-    """Max-norms of the fully projected curvature and of the projected
-    N form (informational: both vanish together on scalar-curvature
-    spaces exactly when the projected curvature does)."""
-    PR, PN = _projected(cj)
-    return _mx(PR), _mx(PN)
-
-
 def suite_lemma31(cj: ChartJets):
     """Third curvature-derivative form A: its expansion in B, and the
     antisymmetry obstruction that forces constancy."""

@@ -18,7 +18,7 @@ from finsler.engine import ChartJets, chart
 from finsler.fdpipe import FDPipeline
 from finsler.sampling import SamplingSpec, sample_points
 from finsler.scalarclass import classify
-from finsler.suites import isotropy, projected_norms, run_suites, \
+from finsler.suites import _mx, _projected, isotropy, run_suites, \
     suite_prop21
 from oracles import deviation_fd, space_form_a
 
@@ -204,7 +204,7 @@ def test_07_projection_biconditional(capsys):
     for metric in SCALAR_METRICS:
         for p in sample_points(metric, SamplingSpec(count=10, seed=113)):
             cj = chart(metric, p, "prop21")
-            pr, pn = projected_norms(cj)
+            pr, pn = map(_mx, _projected(cj))
             bicond = bicond and ((pr < tol) == (pn < tol))
             worst = max(worst, suite_prop21(cj)["projected_curvature_form"])
     ok = bicond and worst < 1e-6

@@ -100,6 +100,26 @@ class TestTensors:
         assert err.startswith("error: could not draw 1 valid sample points")
         assert f"rejected draws by reason: {reason}\n" in err
 
+    def test_fd_stencils_past_the_domain_exit3(self, tmp_path, capsys):
+        """A sample point near funk's boundary whose FD stencils leave the
+        ball: one error line naming the sample point, not a stencil
+        point or a traceback."""
+        cfg = write_config(tmp_path, "edge.json", {
+            "metric": {"catalog": "funk", "dimension": 3},
+            "sampling": {"seed": 0, "radius": 0.999},
+        })
+        out = str(tmp_path / "t.jsonl")
+        assert main(["tensors", "--config", cfg, "--backend", "fd",
+                     "--out", out]) == 3
+        err = capsys.readouterr().err
+        records = read_jsonl(out)
+        p = finsler.sample_points(finsler.build_catalog_metric("funk", 3),
+                                  finsler.SamplingSpec(20, 0, 0.999))
+        bad = p[len(records) - 1]
+        assert err.startswith(f"error: FD stencils at x={bad.x.tolist()}, "
+                              f"y={bad.y.tolist()} reach x=")
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 class TestVerify:
     def test_funk_passes(self, tmp_path, funk_cfg):

@@ -3,6 +3,7 @@ log and powers take arguments in their domain.  Each rule has one definition,
 so both backends, the metric language and sampling reject an input
 alike, with the same typed error and message."""
 
+import dataclasses
 import json
 import logging
 import warnings
@@ -122,6 +123,61 @@ class TestBackendParity:
         p = SamplePoint([-0.6, 0.0, 0.0], [1.0, 0.0, 0.0])
         with pytest.raises(DomainError, match="L = -0.2 <= 0 at x="):
             FDPipeline(metric).c_form(p)
+
+
+class TestFDReach:
+    """The FD backend refuses a point whose stencils leave the domain,
+    before it evaluates L there: each of tensors and c_form reaches about
+    21h from the point (h = 1e-3 (1 + max |x|, |y|))."""
+
+    Y = [0.3, 1.0, 0.0]
+
+    @pytest.mark.parametrize("x1", [0.98, 0.99, 0.999])
+    def test_near_the_boundary(self, x1):
+        """Where the stencils once printed RuntimeWarnings and ended in a
+        LinAlgError, or named a stencil point, or no point at all."""
+        metric = catalog.funk(3)
+        p = SamplePoint([x1, 0.0, 0.0], self.Y)
+        fd = FDPipeline(metric)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (fd.tensors, fd.c_form):
+                with pytest.raises(DomainError) as info:
+                    f(p)
+                assert str(info.value).startswith(
+                    f"FD stencils at x={p.x.tolist()}, y={p.y.tolist()} "
+                    "reach x=")
+                assert str(info.value).endswith(
+                    "outside chart domain (open unit ball |x| < 1)")
+        assert chart(metric, p, "k").k.value() == pytest.approx(-0.25,
+                                                                abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["tensors", "c_form"])
+    def test_checks_exactly_the_points_it_evaluates(self, name):
+        """Inside the domain the results are those without a domain, and
+        the x checked are the x at which L is evaluated, bit for bit."""
+        funk = catalog.funk(3)
+        p = SamplePoint([0.9, 0.0, 0.0], self.Y)
+        evaluated, checked = set(), set()
+
+        def evaluate(x, y):
+            X = np.broadcast_arrays(*x, *y)[:3]
+            evaluated.update(zip(*(np.ravel(c).tolist() for c in X)))
+            return funk.evaluate(x, y)
+
+        def domain(x):
+            checked.add(tuple(x.tolist()))
+            return funk.domain(x)
+
+        got = getattr(FDPipeline(dataclasses.replace(
+            funk, evaluate=evaluate, domain=domain)), name)(p)
+        want = getattr(FDPipeline(dataclasses.replace(funk, domain=None)),
+                       name)(p)
+        assert evaluated == checked
+        assert len(checked) == (169 if name == "tensors" else 505)
+        for a, b in (zip(got.values(), want.values()) if name == "tensors"
+                     else [(got, want)]):
+            assert np.array_equal(a, b)
 
 
 class TestConstantL:

@@ -13,7 +13,7 @@ from finsler.engine import ChartJets
 from finsler.errors import DegenerateMetric
 from finsler.fdpipe import FDPipeline, _base_h, _d1, _d2, _richardson
 from finsler.jets import d_x, d_y
-from finsler.metric import SamplePoint
+from finsler.metric import SamplePoint, check_g
 from finsler.sampling import SamplingSpec, sample_points
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
@@ -273,3 +273,17 @@ class TestWork:
             fd.spray_at(X, Y, _base_h(X, Y))
         assert "x=[0.1, 0.2, 0.0], y=[0.6, 0.8, 0.0]" in str(info.value)
         assert isinstance(info.value.min_eigenvalue, float)
+
+
+class TestCheckG:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_g_is_degenerate(self, bad):
+        """A g that is not finite is DegenerateMetric at its point, not a
+        LinAlgError from eigvalsh or a pass on nan eigenvalues."""
+        g = np.stack([np.eye(3), np.eye(3)])
+        g[1, 0, 1] = g[1, 1, 0] = bad
+        x, y = np.zeros((2, 3)), np.array([[1.0, 0, 0], [0, 1.0, 0]])
+        with pytest.raises(DegenerateMetric, match=r"y=\[0.0, 1.0, 0.0\] "
+                           r"\(smallest eigenvalue nan\)"):
+            check_g(g, x, y)
+        check_g(g[:1], x[:1], y[:1])

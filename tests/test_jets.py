@@ -321,6 +321,46 @@ class TestTensorStructure:
             np.testing.assert_array_equal(got.c, want.c)
 
 
+def _shifted(u, c):
+    """u + c by the explicit rule: u's coefficients broadcast to the
+    sum's shape, with c added to the constant term only."""
+    c = np.asarray(c, dtype=float)
+    out = np.zeros((u.space.T,) + np.broadcast_shapes(u.shape, c.shape))
+    out += u.c.reshape(u.c.shape[:1] + (1,) * (out.ndim - u.c.ndim)
+                       + u.shape)
+    out[0] += c
+    return out
+
+
+class TestAddRule:
+    """A jet plus or minus a number or array shifts the constant term,
+    leaves every other coefficient as it was, and keeps the support."""
+
+    @staticmethod
+    def jets():
+        sp = get_space(3, 2, 3)
+        xs, ys = sp.seed(P.x, P.y)
+        y = jstack(ys)
+        rng = np.random.Generator(np.random.Philox(7))
+        partial = [xs[0] * ys[1], y, jet_einsum("i,j->ij", y, y)]
+        full = [Jet(sp, rng.normal(size=(sp.T,) + shape))
+                for shape in ((), (3,), (3, 3))]
+        return partial + full
+
+    @pytest.mark.parametrize("c", [0.7, np.array([1.5, -2.0, 0.25]),
+                                   np.arange(9.0).reshape(3, 3) - 4.0],
+                             ids=["()", "(3,)", "(3, 3)"])
+    def test_matches_the_explicit_rule(self, c):
+        for u in self.jets():
+            assert u.support in ((1, 1), (0, 1), (0, 2), (2, 3))
+            for got, want in ((u + c, _shifted(u, c)),
+                              (c + u, _shifted(u, c)),
+                              (u - c, _shifted(u, -c)),
+                              (c - u, _shifted(-u, c))):
+                assert got.space is u.space and got.support == u.support
+                assert np.array_equal(got.c, want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
        st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2))

@@ -2,17 +2,18 @@
 characterization checks, and classification verdicts."""
 
 from dataclasses import asdict
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from finsler import catalog
 from finsler.engine import ChartJets, chart
-from finsler.errors import DimensionTooSmall
+from finsler.errors import DimensionTooSmall, InternalInconsistency
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
 from finsler.scalarclass import classify
-from finsler.suites import (SUITES, isotropy, projected_norms,
+from finsler.suites import (SUITES, _mx, _projected, isotropy,
                             suite_lemma22, suite_lemma23, suite_prop21)
 from oracles import deviation_fd, space_form_a
 
@@ -38,7 +39,7 @@ def prop21_with_norms(metric, p):
     cj = chart(metric, p, "prop21")
     res = suite_prop21(cj)
     res["projected_curvature_norm"], res["projected_N_norm"] = \
-        projected_norms(cj)
+        map(_mx, _projected(cj))
     return res
 
 
@@ -216,3 +217,30 @@ class TestClassify:
         assert d["verdict"] == "constant"
         for entry in d["residuals"].values():
             assert set(entry) == {"value", "tolerance"}
+
+
+def _mutate(monkeypatch, name, change):
+    """Make the ChartJets attribute ``name`` change(its jet): a planted
+    defect for the cross-checks of classify to find."""
+    build = ChartJets.__dict__[name].func
+    prop = cached_property(lambda cj: change(build(cj)))
+    prop.__set_name__(ChartJets, name)
+    monkeypatch.setattr(ChartJets, name, prop)
+
+
+class TestInternalInconsistency:
+    """classify refuses a verdict when its redundant criteria disagree."""
+
+    def test_constancy_criteria_disagree(self, monkeypatch):
+        _mutate(monkeypatch, "A", lambda A: A + 1.0)
+        with pytest.raises(InternalInconsistency, match=(
+                r"^constancy criteria disagree on funk: \|C\|=\S+e-\d+, "
+                r"\|B\|=\S+e-\d+, \|A\|=1\.000e\+00 at tolerance 1e-07$")):
+            classify(catalog.funk(3), SamplingSpec(count=2, seed=0))
+
+    def test_C_criterion_and_k_spread_disagree(self, monkeypatch):
+        _mutate(monkeypatch, "C", lambda C: C * 0.0)
+        with pytest.raises(InternalInconsistency, match=(
+                r"^C-criterion and k-spread witness disagree on "
+                r"randers_pflat: \|C\|=0\.000e\+00, std\(k\)=\S+$")):
+            classify(catalog.randers_pflat(3), SamplingSpec(count=3, seed=0))
