@@ -198,10 +198,9 @@ def cmd_tensors(cfg, args):
     spec = _sampling(cfg, args)
     backend = _backend(cfg, args)
     with _report_stream(cfg, args) as stream:
-        points = sample_points(metric, spec)
         fd = FDPipeline(metric)
-        _emit(stream, _header("tensors", cfg, metric, spec, backend))
-        for idx, p in enumerate(points):
+        records = []
+        for idx, p in enumerate(sample_points(metric, spec)):
             if backend == "jet":
                 cj = chart(metric, p, *JET_TENSORS)
                 values = {name: getattr(cj, name).value()
@@ -211,6 +210,11 @@ def cmd_tensors(cfg, args):
                 values["C"] = fd.c_form(p)
             record = {"sample": idx, "x": p.x.tolist(), "y": p.y.tolist()}
             record.update({name: _tolist(v) for name, v in values.items()})
+            records.append(record)
+        # written only once every point has succeeded, as verify and
+        # classify do: a runtime error leaves the report empty
+        _emit(stream, _header("tensors", cfg, metric, spec, backend))
+        for record in records:
             _emit(stream, record)
     return EXIT_PASS
 

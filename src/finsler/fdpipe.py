@@ -15,10 +15,13 @@ array-valued f(x, y) of a batch of points (..., n), with the batch axes
 first and the derivative axes after f's own.  A stencil evaluates f once
 on all its points, as one more batch axis, and a Richardson pair puts its
 two steps on one batch axis more, so nested stencils call L once per
-innermost Richardson pair.
+innermost Richardson pair.  Each stencil writes its shifted points once,
+component-major and contiguous; unshifted components stay exact.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -50,18 +53,26 @@ def _trail(h, k):
 
 def _at(f, x, y, h, S):
     """f at the stencil points (x, y) + h S[r], one row r of the sign
-    table S (m, 2n) each, in one call; returned as [..., r] after f's own
-    axes.  A half of (x, y) that S does not shift is a broadcast view."""
-    n = x.shape[-1]
-    hs = _trail(h, 2)
+    table S (m, 2n) each, in one call, as [..., r] after f's own axes.  A
+    half of (x, y) that S shifts is the (..., m, n) view of a C-ordered
+    block (n, ..., m); a half it does not shift is a broadcast view."""
+    n, m, h = x.shape[-1], len(S), _trail(h, 2)
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], h.shape[:-2])
 
     def shifted(u, s):
         u = u[..., None, :]
-        # where, not u + 0 * h, keeps unshifted components exact (-0.0)
-        return np.where(s != 0, u + s * hs, u) if s.any() else u
+        if not s.any():
+            return np.broadcast_to(u, lead + (m, n))
+        pts = np.empty((n,) + lead + (m,))
+        np.add(np.moveaxis(u, -1, 0), np.moveaxis(s * h, -1, 0), out=pts)
+        pts = pts.transpose(*range(1, pts.ndim), 0)
+        # u + 0 h is u but for u = -0.0: then copy the unshifted entries
+        if np.signbit(u[u == 0]).any():
+            np.copyto(pts, u, where=s == 0)
+        return pts
 
-    X, Y = np.broadcast_arrays(shifted(x, S[:, :n]), shifted(y, S[:, n:]))
-    return np.moveaxis(np.asarray(f(X, Y)), x.ndim - 1, -1)
+    F = f(shifted(x, S[:, :n]), shifted(y, S[:, n:]))
+    return np.moveaxis(np.asarray(F), len(lead), -1)
 
 
 def _d1(f, x, y, var, h):
@@ -82,18 +93,16 @@ def _d1(f, x, y, var, h):
 _SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def _d2(f, x, y, va, vb, h):
-    """Second partials d2 f / d(va)^i d(vb)^j as [..., i, j]: the
-    four-point stencil, or for va == vb the three-point stencil on the
-    diagonal and the upper triangle mirrored."""
-    n = x.shape[-1]
-    a = 0 if va == "x" else n
-    b = 0 if vb == "x" else n
+@functools.cache
+def _d2_signs(n, va, vb):
+    """_d2's sign table, and the (i, j) of its P pairs: the upper triangle
+    for va == vb, else the full grid, row-major.  Rows: the four sign
+    pairs of each (i, j); for va == vb then +h and -h on the diagonal and
+    the unshifted point."""
+    a, b = (0 if va == "x" else n), (0 if vb == "x" else n)
     sym = va == vb
     I, J = np.triu_indices(n, 1) if sym else np.indices((n, n)).reshape(2, -1)
     P, r, q = len(I), np.arange(len(I)), np.arange(n)
-    # rows: the four sign pairs of each (i, j); for va == vb then +h and
-    # -h on the diagonal and the unshifted point
     S = np.zeros((4 * P + (2 * n + 1 if sym else 0), 2 * n))
     for c, (si, sj) in enumerate(_SIGNS):
         S[c * P + r, a + I] = si
@@ -101,17 +110,28 @@ def _d2(f, x, y, va, vb, h):
     if sym:
         S[4 * P + q, a + q] = 1.0
         S[4 * P + n + q, a + q] = -1.0
+    return S, I, J
+
+
+def _d2(f, x, y, va, vb, h):
+    """Second partials d2 f / d(va)^i d(vb)^j as [..., i, j]: the
+    four-point stencil, or for va == vb the three-point stencil on the
+    diagonal and the upper triangle mirrored."""
+    n = x.shape[-1]
+    S, I, J = _d2_signs(n, va, vb)
+    P = len(I)
     F = _at(f, x, y, h, S)
     h = _trail(h, F.ndim - x.ndim + 1)
     val = 0.0
     for c, (si, sj) in enumerate(_SIGNS):
         val = val + si * sj * F[..., c * P:(c + 1) * P]
+    val = val / (4.0 * h * h)
+    if va != vb:
+        return np.ascontiguousarray(val.reshape(F.shape[:-1] + (n, n)))
     out = np.empty(F.shape[:-1] + (n, n))
-    out[..., I, J] = val / (4.0 * h * h)
-    if sym:
-        out[..., J, I] = out[..., I, J]
-        fp, fm = F[..., 4 * P:4 * P + n], F[..., 4 * P + n:4 * P + 2 * n]
-        out[..., q, q] = (fp - 2.0 * F[..., -1:] + fm) / (h * h)
+    out[..., I, J] = out[..., J, I] = val
+    fp, fm = F[..., 4 * P:4 * P + n], F[..., 4 * P + n:4 * P + 2 * n]
+    out[..., range(n), range(n)] = (fp - 2.0 * F[..., -1:] + fm) / (h * h)
     return out
 
 

@@ -103,7 +103,7 @@ class TestTensors:
     def test_fd_stencils_past_the_domain_exit3(self, tmp_path, capsys):
         """A sample point near funk's boundary whose FD stencils leave the
         ball: one error line naming the sample point, not a stencil
-        point or a traceback."""
+        point or a traceback, and a report without records."""
         cfg = write_config(tmp_path, "edge.json", {
             "metric": {"catalog": "funk", "dimension": 3},
             "sampling": {"seed": 0, "radius": 0.999},
@@ -112,10 +112,20 @@ class TestTensors:
         assert main(["tensors", "--config", cfg, "--backend", "fd",
                      "--out", out]) == 3
         err = capsys.readouterr().err
-        records = read_jsonl(out)
-        p = finsler.sample_points(finsler.build_catalog_metric("funk", 3),
-                                  finsler.SamplingSpec(20, 0, 0.999))
-        bad = p[len(records) - 1]
+        assert read_jsonl(out) == []
+        metric = finsler.build_catalog_metric("funk", 3)
+        fd = finsler.FDPipeline(metric)
+
+        def leaves(p):
+            try:
+                fd.tensors(p)
+                fd.c_form(p)
+            except finsler.DomainError:
+                return True
+            return False
+
+        bad = next(p for p in finsler.sample_points(
+            metric, finsler.SamplingSpec(20, 0, 0.999)) if leaves(p))
         assert err.startswith(f"error: FD stencils at x={bad.x.tolist()}, "
                               f"y={bad.y.tolist()} reach x=")
         assert "Traceback" not in err and err.count("\n") == 1

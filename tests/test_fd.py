@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from finsler import catalog
+from finsler import catalog, fdpipe
 from finsler.dsl import metric_from_dsl
 from finsler.engine import ChartJets
 from finsler.errors import DegenerateMetric
-from finsler.fdpipe import FDPipeline, _base_h, _d1, _d2, _richardson
+from finsler.fdpipe import (FDPipeline, _base_h, _d1, _d2, _richardson,
+                             _trail)
 from finsler.jets import d_x, d_y
 from finsler.metric import SamplePoint, check_g
 from finsler.sampling import SamplingSpec, sample_points
@@ -162,6 +163,56 @@ class TestStencils:
             assert (_d2(_field, P.x, P.y, va, vb, h).tobytes()
                     == _loop_d2(_field, P.x, P.y, va, vb, h).tobytes())
 
+    def test_points_stay_exact(self, monkeypatch):
+        """The points each stencil hands to f equal, bit for bit and in
+        sign, np.where(s != 0, u + s h, u) of each row s of its sign
+        table: on a batch, on strided and broadcast points from an outer
+        Richardson pair, and with -0.0 where a stencil does not shift."""
+        at, checked = fdpipe._at, []
+
+        def checking_at(f, x, y, h, S):
+            def recording(X, Y):
+                for got, want in zip((X, Y), _where_points(x, y, h, S)):
+                    assert got.shape == want.shape
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                    assert got.tobytes() == want.tobytes()
+                checked.append(S.shape)
+                return f(X, Y)
+            return at(recording, x, y, h, S)
+
+        monkeypatch.setattr(fdpipe, "_at", checking_at)
+        stencils = ((_d1, "x"), (_d1, "y"), (_d2, "x", "y"),
+                    (_d2, "y", "y"), (_d2, "x", "x"))
+        X, Y, h = _batch()
+        X0, Y0 = X.copy(), Y.copy()
+        X0[0, :, 0] = Y0[:, 1, 1] = -0.0
+        for stencil, *vars in stencils:
+            stencil(_field, X, Y, *vars, h)
+            stencil(_field, X0, Y0, *vars, h)
+
+            def inner(xx, yy):  # xx, yy: an outer stencil's points
+                return _richardson(stencil, _field, xx, yy, *vars,
+                                   h=_trail(h.T, 2))
+            _richardson(_d2, inner, X.swapaxes(0, 1),
+                        np.broadcast_to(Y[:1], Y.shape), "x", "y", h=h.T)
+        assert len(checked) == 4 * len(stencils)
+
+    def test_shifted_components_are_contiguous(self):
+        """The layout that makes a stencil's points cheap to write and
+        to read: in a _d2(x, y) stencil of a Richardson pair, each
+        component array of x and y that FDPipeline._L hands to L is one
+        contiguous array."""
+        funk, seen = catalog.funk(3), []
+
+        def evaluate(xs, ys):
+            seen.extend(xs + ys)
+            return funk.evaluate(xs, ys)
+
+        fd = FDPipeline(dataclasses.replace(funk, evaluate=evaluate))
+        _richardson(_d2, fd._L, P.x, P.y, "x", "y", h=_base_h(P.x, P.y))
+        assert len(seen) == 6
+        assert all(c.flags.c_contiguous for c in seen)
+
 
 def _batch():
     """A (2, 2) batch of points (..., 3) and one step per point."""
@@ -169,6 +220,18 @@ def _batch():
     X = rng.uniform(-0.4, 0.4, size=(2, 2, 3))
     Y = rng.normal(size=(2, 2, 3))
     return X, Y, _base_h(X, Y)
+
+
+def _where_points(x, y, h, S):
+    """The points (x, y) + h S[r] as np.where(s != 0, u + s h, u) writes
+    them: each component that S does not shift is u itself."""
+    n, hs = x.shape[-1], _trail(h, 2)
+
+    def shifted(u, s):
+        u = u[..., None, :]
+        return np.where(s != 0, u + s * hs, u)
+
+    return np.broadcast_arrays(shifted(x, S[:, :n]), shifted(y, S[:, n:]))
 
 
 def _shift(z, h, *steps):
