@@ -30,6 +30,7 @@ error, 3 runtime domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -281,6 +282,7 @@ def cmd_classify(cfg, args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves a parser as it was, so build it once
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="finsler",
@@ -300,8 +302,7 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         return args.func(cfg, args)

@@ -34,7 +34,8 @@ def _richardson(stencil, f, x, y, *vars, h):
     call of the stencil: the two steps are a new last batch axis."""
     hh = np.stack(np.broadcast_arrays(h / 2.0, h), axis=-1)
     T = stencil(f, x[..., None, :], y[..., None, :], *vars, hh)
-    T = np.moveaxis(T, x.ndim - 1, 0)
+    a = x.ndim - 1
+    T = T.transpose(a, *range(a), *range(a + 1, T.ndim))
     return (4.0 * T[0] - T[1]) / 3.0
 
 
@@ -51,6 +52,11 @@ def _trail(h, k):
     return h.reshape(h.shape + (1,) * k)
 
 
+def _last_first(a):
+    """a with its last axis moved first, as a view."""
+    return a.transpose(-1, *range(a.ndim - 1))
+
+
 def _at(f, x, y, h, S):
     """f at the stencil points (x, y) + h S[r], one row r of the sign
     table S (m, 2n) each, in one call, as [..., r] after f's own axes.  A
@@ -64,15 +70,16 @@ def _at(f, x, y, h, S):
         if not s.any():
             return np.broadcast_to(u, lead + (m, n))
         pts = np.empty((n,) + lead + (m,))
-        np.add(np.moveaxis(u, -1, 0), np.moveaxis(s * h, -1, 0), out=pts)
+        np.add(_last_first(u), _last_first(s * h), out=pts)
         pts = pts.transpose(*range(1, pts.ndim), 0)
         # u + 0 h is u but for u = -0.0: then copy the unshifted entries
         if np.signbit(u[u == 0]).any():
             np.copyto(pts, u, where=s == 0)
         return pts
 
-    F = f(shifted(x, S[:, :n]), shifted(y, S[:, n:]))
-    return np.moveaxis(np.asarray(F), len(lead), -1)
+    F = np.asarray(f(shifted(x, S[:, :n]), shifted(y, S[:, n:])))
+    r = len(lead)
+    return F.transpose(*range(r), *range(r + 1, F.ndim), r)
 
 
 def _d1(f, x, y, var, h):
@@ -146,8 +153,7 @@ class FDPipeline:
 
     def _L(self, x, y):
         # one call of L on the batch's component arrays; a constant L is 0-d
-        v = self.metric.evaluate(list(np.moveaxis(x, -1, 0)),
-                                 list(np.moveaxis(y, -1, 0)))
+        v = self.metric.evaluate(list(_last_first(x)), list(_last_first(y)))
         return v if np.ndim(v) else np.broadcast_to(v, x.shape[:-1])
 
     def _E(self, x, y):

@@ -10,14 +10,14 @@ to machine precision.
 
 A jet's validity budget (px, py) -- how many more formal x-/y-
 derivatives may be taken before truncation error reaches the constant
-term -- is its space: the coefficients live in ``get_space(n, px, py)``.
-A formal derivative moves the result to the space one order lower, and a
-binary operation first restricts both operands to the budget they share,
-as in truncated Taylor arithmetic, so no product runs over monomials that
-are no longer valid.  Because monomials are in graded order, a smaller
+term -- is its space, ``get_space(n, px, py)``; exceeding it raises
+:class:`OrderUnsupported`.  Monomials are in graded order, so a smaller
 space is the top-left block of a larger space's (NX, NY) coefficient
-grid, and restriction is a slice.  Exceeding the budget raises
-:class:`OrderUnsupported`.
+grid: restriction is a slice, and when only x shrinks the row prefix, a
+view.  Jets are never written after construction, so views are safe.  A
+binary operation reads its operands at the budget they share, as in
+truncated Taylor arithmetic.  A formal derivative is one gather into the
+space one order lower, by a plan its space builds on first use.
 
 A jet's support (sx, sy) <= (px, py) says that its coefficients outside
 the top-left (sx, sy) block of the grid are exact zeros: x seeds have
@@ -35,10 +35,9 @@ operator, so its coefficients of total degree d follow from those below
 d, at about the cost of one product (``_solve``).  So is the inverse of
 a matrix jet, from M V = I (``jet_matrix_inverse``).
 
-Coefficient arrays have shape ``(T, *trailing)`` where T is the number of
-monomials of the jet's own budget; the trailing axes hold tensor
-components, so whole tensors of jets are manipulated with vectorized
-numpy operations.
+Coefficient arrays have shape ``(T, *trailing)``: T monomials of the
+jet's own budget, then tensor components, so whole tensors of jets are
+handled by vectorized numpy operations.
 """
 
 from __future__ import annotations
@@ -89,11 +88,11 @@ class _Group:
         self.place = (maxdeg + 1) ** np.arange(nvars, dtype=np.int64)
         self.key = self.M @ self.place
         self._order = np.argsort(self.key)
-        # formal d/dv for every variable v at once: each monomial src with
-        # v in it goes to monomial dst with multiplier (exponent of v)
-        src, var = np.nonzero(self.M)
-        self.deriv = (src, self.locate(self.key[src] - self.place[var]), var,
-                      self.M[src, var].astype(float))
+        # formal d/dv: monomial m below the cap (a prefix, as graded) times
+        # v is monomial ids[m, v], whose exponent of v is m's plus one
+        low = self.M[self.M.sum(axis=1) < maxdeg]
+        self.up = (self.locate((low @ self.place)[:, None] + self.place),
+                   low + 1.0)  # (ids, exponents)
 
     def locate(self, keys):
         return self._order[np.searchsorted(self.key, keys,
@@ -167,6 +166,23 @@ class JetSpace:
             out.append((K[lo:hi][starts], I[lo:hi], J[lo:hi], starts))
         return deg.astype(float), out
 
+    def _deriv_plan(self, axis):
+        """d_x (axis 0) or d_y (1): the space one order lower on that axis,
+        and (sub.T, n) tables of the index here of each of its monomials
+        times variable q, and of the exponent of q in that monomial."""
+        sub = get_space(self.n, self.px + axis - 1, self.py - axis)
+        ids, mul = _group(self.n, (self.px, self.py)[axis]).up
+        if axis:  # (NX, sub.NY, n): row i, column ids[j, q]
+            idx = np.arange(self.NX)[:, None, None] * self.NY + ids
+        else:  # (sub.NX, NY, n): row ids[i, q], column j
+            ids, mul = ids[:, None], mul[:, None]
+            idx = ids * self.NY + np.arange(self.NY)[:, None]
+        mul = np.broadcast_to(mul, idx.shape).reshape(sub.T, self.n)
+        return sub, idx.reshape(sub.T, self.n), mul
+
+    x_plan = functools.cached_property(lambda self: self._deriv_plan(0))
+    y_plan = functools.cached_property(lambda self: self._deriv_plan(1))
+
     # ---- constructors -------------------------------------------------
     def constant(self, value):
         value = np.asarray(value, dtype=float)
@@ -206,28 +222,33 @@ def restrict(jet, px, py):
         raise OrderUnsupported(f"budget (x:{px}, y:{py}) is not within "
                                f"the jet's (x:{sp.px}, y:{sp.py})")
     sub = get_space(sp.n, px, py)
-    grid = jet.c.reshape((sp.NX, sp.NY) + jet.shape)
-    return Jet(sub, grid[:sub.NX, :sub.NY].reshape((sub.T,) + jet.shape),
-               tuple(map(min, jet.support, (px, py))))
+    c = jet.c[:sub.T]  # the block, a view, when only x shrinks
+    if sub.NY < sp.NY:
+        grid = jet.c.reshape((sp.NX, sp.NY) + jet.shape)
+        c = grid[:sub.NX, :sub.NY].reshape((sub.T,) + jet.shape)
+    return Jet(sub, c, tuple(map(min, jet.support, (px, py))))
 
 
 def _widen(c, sub, sp):
     """The jet of budget ``sp`` and support ``sub`` whose block is c."""
     if sub is not sp:
-        out = np.zeros((sp.NX, sp.NY) + c.shape[1:], dtype=c.dtype)
-        out[:sub.NX, :sub.NY] = c.reshape((sub.NX, sub.NY) + c.shape[1:])
-        c = out.reshape((sp.T,) + c.shape[1:])
+        out = np.zeros((sp.T,) + c.shape[1:], dtype=c.dtype)
+        if sub.NY == sp.NY:  # only x widens: one contiguous copy
+            out[:sub.T] = c
+        else:
+            out.reshape((sp.NX, sp.NY) + c.shape[1:])[:sub.NX, :sub.NY] = (
+                c.reshape((sub.NX, sub.NY) + c.shape[1:]))
+        c = out
     return Jet(sp, c, (sub.px, sub.py))
 
 
 def shared(jets):
     """The jets restricted to the budget they all share."""
-    n = jets[0].space.n
-    if any(j.space.n != n for j in jets):
+    spaces = [jet.space for jet in jets]
+    if len({sp.n for sp in spaces}) > 1:
         raise ValueError("jets in different dimensions")
-    px = min(j.space.px for j in jets)
-    py = min(j.space.py for j in jets)
-    return [restrict(j, px, py) for j in jets]
+    px, py = min([sp.px for sp in spaces]), min([sp.py for sp in spaces])
+    return [restrict(jet, px, py) for jet in jets]
 
 
 class Jet:
@@ -255,7 +276,8 @@ class Jet:
     def __add__(self, other):
         if not isinstance(other, Jet):
             other = self.space.constant(other)
-        a, b = shared([self, other])
+        a, b = ((self, other) if other.space is self.space
+                else shared([self, other]))
         ca, cb = _align(a.c, b.c)
         return Jet(a.space, ca + cb, tuple(map(max, a.support, b.support)))
 
@@ -331,14 +353,15 @@ def _convolve(I, J, starts, a, b, op=np.multiply):
 def _product(a, b, op=np.multiply):
     """a times b at the budget they share, run in the space of the sum of
     their supports on the operands' blocks of it."""
-    a, b = shared([a, b])
-    sp = a.space
-    sub = get_space(sp.n, min(a.support[0] + b.support[0], sp.px),
-                    min(a.support[1] + b.support[1], sp.py))
+    if a.space.n != b.space.n:
+        raise ValueError("jets in different dimensions")
+    px, py = min(a.space.px, b.space.px), min(a.space.py, b.space.py)
+    sub = get_space(a.space.n, min(a.support[0] + b.support[0], px),
+                    min(a.support[1] + b.support[1], py))
     a, b = restrict(a, sub.px, sub.py), restrict(b, sub.px, sub.py)
     ca, cb = _align(a.c, b.c) if op is np.multiply else (a.c, b.c)
     c = _convolve(sub.mI, sub.mJ, sub.red_starts, ca, cb, op)
-    return _widen(c, sub, sp)
+    return _widen(c, sub, get_space(a.space.n, px, py))
 
 
 def _solve(u, v0, scale, wI, wJ, du=0.0):
@@ -468,20 +491,17 @@ def jstack(jets):
 def _derivatives(jet, axis):
     """All n formal derivatives along one variable group (axis 0: x, 1:
     y), on a new last trailing axis: one order lower on that axis, and
-    support one lower."""
-    sp = jet.space
-    orders, support = [sp.px, sp.py], list(jet.support)
-    if orders[axis] <= 0:
+    support one lower.  The gather puts the variable second; the
+    multiply writes it last."""
+    sp, k = jet.space, jet.c.ndim - 1
+    if (sp.px, sp.py)[axis] <= 0:
         raise OrderUnsupported(f"{'xy'[axis]}-derivative budget exhausted")
-    src, dst, var, mul = _group(sp.n, orders[axis]).deriv
-    orders[axis] -= 1
-    support[axis] = max(support[axis] - 1, 0)
-    sub = get_space(sp.n, *orders)
-    cc = np.moveaxis(jet.c.reshape((sp.NX, sp.NY) + jet.shape), axis, 0)
-    out = np.zeros((sub.NX, sub.NY) + jet.shape + (sp.n,))
-    np.moveaxis(out, axis, 0)[dst, ..., var] = (
-        cc[src] * mul.reshape((-1,) + (1,) * (cc.ndim - 1)))
-    return Jet(sub, out.reshape((sub.T,) + out.shape[2:]), tuple(support))
+    sub, idx, mul = sp.y_plan if axis else sp.x_plan
+    out = np.empty((sub.T,) + jet.shape + (sp.n,))
+    np.multiply(np.take(jet.c, idx, axis=0).transpose(0, *range(2, k + 2), 1),
+                mul.reshape((sub.T,) + (1,) * k + (sp.n,)), out=out)
+    sx, sy = jet.support
+    return Jet(sub, out, (max(sx + axis - 1, 0), max(sy - axis, 0)))
 
 
 def d_x(jet):

@@ -239,6 +239,34 @@ class TestClassify:
             capsys.readouterr().out
 
 
+class TestParser:
+    """main builds its parser once per process; a parse leaves nothing
+    behind, so a bad call or one with options changes no later run."""
+
+    def test_reused_parser_changes_no_report(self, tmp_path, funk_cfg):
+        def reports():
+            got = []
+            for command in ("verify", "classify"):
+                out = tmp_path / f"{command}.jsonl"
+                assert main([command, "--config", funk_cfg,
+                             "--out", str(out)]) == 0
+                got.append(out.read_bytes())
+            return got
+
+        before = reports()
+        for bad in (["verify"], ["nope", "--config", funk_cfg],
+                    ["classify", "--config", funk_cfg, "--samples", "two"],
+                    ["verify", "--config", funk_cfg, "--backend", "gpu"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+        out = str(tmp_path / "other.jsonl")
+        assert main(["classify", "--config", funk_cfg, "--out", out,
+                     "--samples", "2", "--seed", "7", "--backend", "fd"]) == 0
+        assert reports() == before
+        assert cli.make_parser() is cli.make_parser()
+
+
 class TestConfigValidation:
     def test_missing_file(self, capsys):
         assert main(["verify", "--config", "/nonexistent.json"]) == 2

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from finsler import catalog, jets
+from finsler import catalog, engine, jets
 from finsler.engine import REQUIRED_ORDERS, ChartJets, chart
 from finsler.errors import OrderUnsupported
 from finsler.jets import d_y, get_space, jet_einsum, restrict
@@ -61,13 +61,16 @@ def test_rescaling_L(metric, lam):
 
 
 def count_work(monkeypatch):
-    """Counters of the jet work that runs: the number of products, and the
+    """Counters of the jet work that runs: the number of products, the
     coefficient pairs x components of every product, series and inverse
     in the space it runs in, recorded by wrapping the one kernel,
     jets._convolve (an einsum counts every label's extent, contracted ones
-    included, and a matmul of n x n matrices n^3)."""
-    counts = {"products": 0, "pairs": 0}
+    included, and a matmul of n x n matrices n^3), the number of formal
+    derivatives (each of d_x and d_y takes all n at once), and the number
+    of restrictions that copy coefficients rather than return a view."""
+    counts = {"products": 0, "pairs": 0, "derivatives": 0, "copies": 0}
     convolve, product = jets._convolve, jets._product
+    derivatives, restrict = jets._derivatives, jets.restrict
 
     def counted_convolve(I, J, starts, a, b, op=np.multiply):
         if op is np.multiply:
@@ -86,8 +89,20 @@ def count_work(monkeypatch):
         counts["products"] += 1
         return product(a, b, op)
 
+    def counted_derivatives(jet, axis):
+        counts["derivatives"] += 1
+        return derivatives(jet, axis)
+
+    def counted_restrict(jet, px, py):
+        out = restrict(jet, px, py)
+        counts["copies"] += not np.may_share_memory(out.c, jet.c)
+        return out
+
     monkeypatch.setattr(jets, "_convolve", counted_convolve)
     monkeypatch.setattr(jets, "_product", counted_product)
+    monkeypatch.setattr(jets, "_derivatives", counted_derivatives)
+    for module in (jets, engine):  # engine imports restrict by name
+        monkeypatch.setattr(module, "restrict", counted_restrict)
     return counts
 
 
@@ -95,8 +110,12 @@ class TestWork:
     """Each product runs at the budget its result is read at, in the space
     of its operands' supports."""
 
-    # per default metric, at most so many products and pairs x components
-    # of one point of verify with every suite (funk: 46 and 2.84e6 when
+    # per default metric, at most so many products, pairs x components,
+    # formal derivatives and copying restrictions of one point of verify
+    # with every suite (derivatives and copies bounded since a product
+    # restricts each operand once, straight to its block: 32 and 8-83;
+    # euclidean made 11 copies when an operand could be restricted twice;
+    # funk: 46 and 2.84e6 when
     # written; 88 and 3.09e6 when g_inv ran Gauss-Jordan on jet products;
     # 5.98e6 when every product ran in its budget space and g_inv was
     # inverted at chart - (0, 2); 2.85e6 when phi, hbar, Ntensor, F and
@@ -108,12 +127,12 @@ class TestWork:
     # charts at (2, 7) and (3, 5) run the G -> Rhat chain twice, so there
     # are more products, on about half the pairs)
     VERIFY_WORK = {
-        "euclidean": (39, 3.9e4),
-        "riemannian_space_form(kappa=1)": (47, 4.33e5),
-        "riemannian_space_form(kappa=-1)": (47, 4.33e5),
-        "funk": (57, 5.19e5),
-        "randers_pflat": (45, 3.05e5),
-        "perturbed_riemannian(seed=0)": (69, 4.65e5),
+        "euclidean": (39, 3.9e4, 32, 8),
+        "riemannian_space_form(kappa=1)": (47, 4.33e5, 32, 11),
+        "riemannian_space_form(kappa=-1)": (47, 4.33e5, 32, 11),
+        "funk": (57, 5.19e5, 32, 31),
+        "randers_pflat": (45, 3.05e5, 32, 23),
+        "perturbed_riemannian(seed=0)": (69, 4.65e5, 32, 83),
     }
 
     def test_products_and_pair_volume(self, monkeypatch):
@@ -124,10 +143,15 @@ class TestWork:
             counts = count_work(monkeypatch)
             run_suites(metric, [P], sorted(SUITES))
             print(f"verify {metric.name}: {counts['products']} products, "
-                  f"{counts['pairs']:,} pairs x components")
-            products, pairs = self.VERIFY_WORK[metric.name]
+                  f"{counts['pairs']:,} pairs x components, "
+                  f"{counts['derivatives']} derivatives, "
+                  f"{counts['copies']} copying restrictions")
+            products, pairs, derivatives, copies = self.VERIFY_WORK[
+                metric.name]
             assert counts["products"] <= products
             assert counts["pairs"] <= pairs
+            assert counts["derivatives"] <= derivatives
+            assert counts["copies"] <= copies
 
     def test_perturbed_riemannian_L_pair_volume(self, monkeypatch):
         """Its L multiplies x-only sines by y-only monomials, so only its

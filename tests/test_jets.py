@@ -14,7 +14,7 @@ from finsler.engine import ChartJets
 from finsler.errors import EvalDomainError, OrderUnsupported
 from finsler.jets import (Jet, cos, d_x, d_y, exp, get_space, jet_einsum,
                           jet_matrix_inverse, jpow, jstack, log, restrict,
-                          sin, sqrt)
+                          shared, sin, sqrt)
 from finsler.metric import SamplePoint
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
@@ -617,3 +617,97 @@ def test_graded_table_brute_force(n, px, py):
         np.testing.assert_array_equal(np.stack([I, J], axis=1), want)
         sizes = [len(pairs[k]) for k in sorted(pairs)]
         np.testing.assert_array_equal(starts, np.cumsum([0] + sizes[:-1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from([(), (3,), (3, 3)]),
+       st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(0, 99))
+def test_derivatives_brute_force(n, px, py, shape, support, seed):
+    """d_x and d_y equal the formal derivative read off the exponent
+    lists: coefficient K of d f / d v_q is (the exponent of v_q in K + e_q)
+    times coefficient K + e_q of f, bit for bit.  The result lives one
+    order lower on that axis with support one lower (capped at 0), and at
+    order 0 the derivative raises OrderUnsupported."""
+    sp = get_space(n, px, py)
+    support = (min(support[0], px), min(support[1], py))
+    block = get_space(n, *support)
+    rng = np.random.default_rng(seed)
+    grid = np.zeros((sp.NX, sp.NY) + shape)
+    grid[:block.NX, :block.NY] = rng.normal(size=(block.NX, block.NY)
+                                            + shape)
+    f = Jet(sp, grid.reshape((sp.T,) + shape), support)
+    index = {xm + ym: k for k, (xm, ym) in
+             enumerate(itertools.product(sp.xm, sp.ym))}
+    for axis, derivative in ((0, d_x), (1, d_y)):
+        if (px, py)[axis] == 0:
+            with pytest.raises(OrderUnsupported):
+                derivative(f)
+            continue
+        low = get_space(n, px - 1 + axis, py - axis)
+        want = np.zeros((low.T,) + shape + (n,))
+        for k, (xm, ym) in enumerate(itertools.product(low.xm, low.ym)):
+            for q in range(n):
+                source = list(xm + ym)
+                source[axis * n + q] += 1
+                want[k, ..., q] = (source[axis * n + q]
+                                   * f.c[index[tuple(source)]])
+        got = derivative(f)
+        assert got.space is low
+        assert np.array_equal(got.c, want)
+        lowered = list(support)
+        lowered[axis] = max(lowered[axis] - 1, 0)
+        assert got.support == tuple(lowered)
+
+
+class TestImmutable:
+    """No jet operation writes into its operands' coefficients, which is
+    what lets a restriction that only lowers x return a view."""
+
+    @staticmethod
+    def operands():
+        rng = np.random.default_rng(5)
+        big, small = get_space(3, 2, 4), get_space(3, 1, 4)
+        a = random_jet(rng, big, (3,)) + 2.0   # constant terms near 2
+        b = random_jet(rng, small, (3,)) + 2.0
+        m = random_jet(rng, big, (3, 3), 0.1) + 3.0 * np.eye(3)
+        xs, ys = big.seed(P.x, P.y)
+        seeded = jstack([xs[0] * ys[1], ys[0], xs[2]]) + 2.0
+        # full supports, a partial support, and a view of a
+        return [a, b, m, seeded, restrict(a, 1, 4)]
+
+    OPS = {
+        "*": lambda a, b, m: a * b,
+        "+": lambda a, b, m: a + b,
+        "-": lambda a, b, m: a - b,
+        "jet_einsum": lambda a, b, m: jet_einsum("ij,j->i", m, b),
+        "d_x": lambda a, b, m: d_x(a),
+        "d_y": lambda a, b, m: d_y(a),
+        "restrict": lambda a, b, m: restrict(a, 1, 2),
+        "shared": lambda a, b, m: shared([a, b, m]),
+        "reciprocal": lambda a, b, m: a.reciprocal(),
+        "sqrt": lambda a, b, m: sqrt(a),
+        "exp": lambda a, b, m: exp(a),
+        "log": lambda a, b, m: log(a),
+        "sin": lambda a, b, m: sin(a),
+        "cos": lambda a, b, m: cos(a),
+        "jet_matrix_inverse": lambda a, b, m: jet_matrix_inverse(m),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_operands_unchanged(self, op):
+        pool = self.operands()
+        before = [jet.c.tobytes() for jet in pool]
+        a, b, m, seeded, view = pool
+        for args in ((a, b, m), (view, seeded, m), (seeded, view, m),
+                     (b, a, m)):
+            self.OPS[op](*args)
+        assert [jet.c.tobytes() for jet in pool] == before
+
+    def test_x_only_restriction_is_a_view(self):
+        a = self.operands()[0]
+        for px in (0, 1):
+            low = restrict(a, px, a.space.py)
+            assert np.shares_memory(low.c, a.c)
+            assert np.array_equal(low.c, a.c[:low.space.T])
+        assert not np.shares_memory(restrict(a, 2, 3).c, a.c)
