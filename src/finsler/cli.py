@@ -284,6 +284,8 @@ def cmd_classify(cfg, args):
 
 @functools.cache  # parsing leaves a parser as it was, so build it once
 def make_parser():
+    """The CLI parser, built on the first call; the ``cmd_*`` functions
+    are bound then, so a later rebinding of one is not seen."""
     parser = argparse.ArgumentParser(
         prog="finsler",
         description="Berwald-geometry tensor computation, identity "

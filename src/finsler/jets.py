@@ -222,10 +222,8 @@ def restrict(jet, px, py):
         raise OrderUnsupported(f"budget (x:{px}, y:{py}) is not within "
                                f"the jet's (x:{sp.px}, y:{sp.py})")
     sub = get_space(sp.n, px, py)
-    c = jet.c[:sub.T]  # the block, a view, when only x shrinks
-    if sub.NY < sp.NY:
-        grid = jet.c.reshape((sp.NX, sp.NY) + jet.shape)
-        c = grid[:sub.NX, :sub.NY].reshape((sub.T,) + jet.shape)
+    grid = jet.c.reshape((sp.NX, sp.NY) + jet.shape)
+    c = grid[:sub.NX, :sub.NY].reshape((sub.T,) + jet.shape)
     return Jet(sub, c, tuple(map(min, jet.support, (px, py))))
 
 
@@ -233,11 +231,8 @@ def _widen(c, sub, sp):
     """The jet of budget ``sp`` and support ``sub`` whose block is c."""
     if sub is not sp:
         out = np.zeros((sp.T,) + c.shape[1:], dtype=c.dtype)
-        if sub.NY == sp.NY:  # only x widens: one contiguous copy
-            out[:sub.T] = c
-        else:
-            out.reshape((sp.NX, sp.NY) + c.shape[1:])[:sub.NX, :sub.NY] = (
-                c.reshape((sub.NX, sub.NY) + c.shape[1:]))
+        out.reshape((sp.NX, sp.NY) + c.shape[1:])[:sub.NX, :sub.NY] = (
+            c.reshape((sub.NX, sub.NY) + c.shape[1:]))
         c = out
     return Jet(sp, c, (sub.px, sub.py))
 
@@ -245,6 +240,8 @@ def _widen(c, sub, sp):
 def shared(jets):
     """The jets restricted to the budget they all share."""
     spaces = [jet.space for jet in jets]
+    if spaces.count(spaces[0]) == len(spaces):  # one space: as they are
+        return jets
     if len({sp.n for sp in spaces}) > 1:
         raise ValueError("jets in different dimensions")
     px, py = min([sp.px for sp in spaces]), min([sp.py for sp in spaces])
@@ -276,8 +273,7 @@ class Jet:
     def __add__(self, other):
         if not isinstance(other, Jet):
             other = self.space.constant(other)
-        a, b = ((self, other) if other.space is self.space
-                else shared([self, other]))
+        a, b = shared([self, other])
         ca, cb = _align(a.c, b.c)
         return Jet(a.space, ca + cb, tuple(map(max, a.support, b.support)))
 
