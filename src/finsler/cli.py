@@ -207,8 +207,7 @@ def cmd_tensors(cfg, args):
                 values = {name: getattr(cj, name).value()
                           for name in JET_TENSORS}
             else:
-                values = dict(fd.tensors(p))
-                values["C"] = fd.c_form(p)
+                values = fd.tensors(p)
             record = {"sample": idx, "x": p.x.tolist(), "y": p.y.tolist()}
             record.update({name: _tolist(v) for name, v in values.items()})
             records.append(record)

@@ -101,14 +101,15 @@ _SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 @functools.cache
-def _d2_signs(n, va, vb):
+def _d2_signs(n, va, vb, diagonal=True):
     """_d2's sign table, and the (i, j) of its P pairs: the upper triangle
-    for va == vb, else the full grid, row-major.  Rows: the four sign
-    pairs of each (i, j); for va == vb then +h and -h on the diagonal and
-    the unshifted point."""
+    for va == vb, else the full grid, row-major, or its off-diagonal pairs
+    for diagonal=False.  Rows: the four sign pairs of each (i, j); for
+    va == vb then +h and -h on the diagonal and the unshifted point."""
     a, b = (0 if va == "x" else n), (0 if vb == "x" else n)
     sym = va == vb
     I, J = np.triu_indices(n, 1) if sym else np.indices((n, n)).reshape(2, -1)
+    I, J = (I, J) if diagonal else (I[I != J], J[I != J])
     P, r, q = len(I), np.arange(len(I)), np.arange(n)
     S = np.zeros((4 * P + (2 * n + 1 if sym else 0), 2 * n))
     for c, (si, sj) in enumerate(_SIGNS):
@@ -120,12 +121,13 @@ def _d2_signs(n, va, vb):
     return S, I, J
 
 
-def _d2(f, x, y, va, vb, h):
+def _d2(f, x, y, va, vb, h, diagonal=True):
     """Second partials d2 f / d(va)^i d(vb)^j as [..., i, j]: the
     four-point stencil, or for va == vb the three-point stencil on the
-    diagonal and the upper triangle mirrored."""
+    diagonal and the upper triangle mirrored.  For diagonal=False
+    (va != vb) the pairs i == j are not evaluated and read 0."""
     n = x.shape[-1]
-    S, I, J = _d2_signs(n, va, vb)
+    S, I, J = _d2_signs(n, va, vb, diagonal)
     P = len(I)
     F = _at(f, x, y, h, S)
     h = _trail(h, F.ndim - x.ndim + 1)
@@ -133,20 +135,22 @@ def _d2(f, x, y, va, vb, h):
     for c, (si, sj) in enumerate(_SIGNS):
         val = val + si * sj * F[..., c * P:(c + 1) * P]
     val = val / (4.0 * h * h)
-    if va != vb:
+    if P == n * n:
         return np.ascontiguousarray(val.reshape(F.shape[:-1] + (n, n)))
-    out = np.empty(F.shape[:-1] + (n, n))
-    out[..., I, J] = out[..., J, I] = val
-    fp, fm = F[..., 4 * P:4 * P + n], F[..., 4 * P + n:4 * P + 2 * n]
-    out[..., range(n), range(n)] = (fp - 2.0 * F[..., -1:] + fm) / (h * h)
+    out = np.zeros(F.shape[:-1] + (n, n))
+    out[..., I, J] = val
+    if va == vb:
+        out[..., J, I] = val
+        fp, fm = F[..., 4 * P:4 * P + n], F[..., 4 * P + n:4 * P + 2 * n]
+        out[..., range(n), range(n)] = (fp - 2.0 * F[..., -1:] + fm) / (h * h)
     return out
 
 
 class FDPipeline:
-    """All FD-backend quantities for one metric; evaluation is pointwise
-    through :meth:`tensors` and :meth:`c_form`.  The other methods take
-    x and y of any batch shape (..., n) and a step h that is a scalar or
-    has the batch's number of axes."""
+    """All FD-backend quantities for one metric; evaluation is pointwise,
+    one pass per point, through :meth:`tensors` (and :meth:`c_form`, its
+    C).  The other methods take x and y of any batch shape (..., n) and a
+    step h that is a scalar or has the batch's number of axes."""
 
     def __init__(self, metric: FinslerMetric):
         self.metric = metric
@@ -181,9 +185,10 @@ class FDPipeline:
             return self.spray_at(xx, yy, hs)[1]
 
         N = _richardson(_d1, G, x, y, "y", h=h)
-        # wider outer step: each spray evaluation carries ~1e-9 noise,
-        # and second differences divide it by h^2
-        Gxy = _richardson(_d2, G, x, y, "x", "y", h=20.0 * h)
+        # wider outer step: each spray evaluation carries ~1e-9 noise, and
+        # second differences divide it by h^2; Rhat cancels Gxy's c == j
+        Gxy = _richardson(functools.partial(_d2, diagonal=False), G, x, y,
+                          "x", "y", h=20.0 * h)
         Gyy = _richardson(_d2, G, x, y, "y", "y", h=20.0 * h)
         # delta_c N^i_j = d2G^i/dx^c dy^j - N^m_c d2G^i/dy^m dy^j
         dN = np.einsum("...icj->...ijc", Gxy) - np.einsum(
@@ -213,22 +218,25 @@ class FDPipeline:
                         f"({self.metric.domain_desc})")
 
     def tensors(self, p: SamplePoint):
-        """Dict of FD-backend values at p: L, g, G, N, Rhat, H, k."""
+        """Dict of FD-backend values at p: L, g, G, N, Rhat, H, k and C =
+        L dk/dy, from one curvature pass over p.y and the 2n directions
+        p.y +- h e_q at which C's plain central difference reads k (no
+        Richardson: each k is itself a deep FD pipeline)."""
         L = check_L(self.metric.L(p), p)
         self._check_reach(p, p.y)
         g, G = self.spray_at(p.x, p.y, _base_h(p.x, p.y))
-        N, Rhat, H, k = self._curvature(p.x, p.y, L)
-        return {"L": L, "g": g, "G": G, "N": N, "Rhat": Rhat,
-                "H": H, "k": float(k)}
+        n, h = p.n, 1e-2 * (1.0 + float(np.max(np.abs(p.y))))
+        e = np.concatenate([np.eye(n), -np.eye(n)])
+        yq = np.where(e != 0, p.y + h * e, p.y)  # -0.0 stays where unshifted
+        self._check_reach(p, yq)
+        x = np.broadcast_to(p.x, (2 * n + 1, n))
+        N, Rhat, H, k = self._curvature(
+            x, np.concatenate([p.y[None], yq]),
+            np.concatenate([[L], self._L(x[1:], yq)]))
+        return {"L": L, "g": g, "G": G, "N": N[0], "Rhat": Rhat[0],
+                "H": H[0], "k": float(k[0]),
+                "C": L * ((k[1:n + 1] - k[n + 1:]) / (2.0 * h))}
 
     def c_form(self, p: SamplePoint):
-        """C = L dk/dy by a plain central difference of the scalar
-        curvature closure (no Richardson: each evaluation is itself a
-        deep FD pipeline), with the 2n k-points in one batch."""
-        def k(x, y):
-            self._check_reach(p, y)
-            return self._curvature(x, y, self._L(x, y))[3]
-
-        L = check_L(self.metric.L(p), p)
-        h = 1e-2 * (1.0 + float(np.max(np.abs(p.y))))
-        return L * _d1(k, p.x, p.y, "y", h)
+        """C = L dk/dy at p, as :meth:`tensors` computes it."""
+        return self.tensors(p)["C"]

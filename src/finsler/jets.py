@@ -341,8 +341,9 @@ class Jet:
 
 def _convolve(I, J, starts, a, b, op=np.multiply):
     """The kernel of products and series: per pair group from ``starts``,
-    sum op(a[I], b[J]); np.take is faster than a[I]."""
-    prod = op(np.take(a, I, axis=0), np.take(b, J, axis=0))
+    sum op(a[I], b[J]); the method take is faster than a[I] and than
+    np.take, which wraps it."""
+    prod = op(a.take(I, axis=0), b.take(J, axis=0))
     return np.add.reduceat(prod, starts, axis=0)
 
 
@@ -494,7 +495,7 @@ def _derivatives(jet, axis):
         raise OrderUnsupported(f"{'xy'[axis]}-derivative budget exhausted")
     sub, idx, mul = sp.y_plan if axis else sp.x_plan
     out = np.empty((sub.T,) + jet.shape + (sp.n,))
-    np.multiply(np.take(jet.c, idx, axis=0).transpose(0, *range(2, k + 2), 1),
+    np.multiply(jet.c.take(idx, axis=0).transpose(0, *range(2, k + 2), 1),
                 mul.reshape((sub.T,) + (1,) * k + (sp.n,)), out=out)
     sx, sy = jet.support
     return Jet(sub, out, (max(sx + axis - 1, 0), max(sy - axis, 0)))

@@ -71,7 +71,7 @@ def classify(metric: FinslerMetric, spec: SamplingSpec = None,
             T = fd.tensors(p)
             H, k, L = T["H"], T["k"], T["L"]
             phi = np.eye(metric.n) - np.outer(p.y, T["g"] @ p.y / L) / L
-            norms["C"].append(suites._mx(fd.c_form(p)))
+            norms["C"].append(suites._mx(T["C"]))
         iso.append(suites.isotropy(H, k, L, phi))
         ks.append(k)
 

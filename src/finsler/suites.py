@@ -21,7 +21,8 @@ from .jets import d_y
 
 
 def _mx(arr):
-    return float(np.abs(np.asarray(arr)).max()) if np.size(arr) else 0.0
+    """max |arr| of a number or an array, 0.0 if it is empty."""
+    return float(np.maximum.reduce(abs(arr), None, initial=0.0))
 
 
 def _rel(diff, *refs):

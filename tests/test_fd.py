@@ -162,6 +162,11 @@ class TestStencils:
         for va, vb in (("x", "y"), ("y", "y"), ("x", "x")):
             assert (_d2(_field, P.x, P.y, va, vb, h).tobytes()
                     == _loop_d2(_field, P.x, P.y, va, vb, h).tobytes())
+        # without the pairs i == j, which read 0
+        off = _loop_d2(_field, P.x, P.y, "x", "y", h)
+        off[..., range(3), range(3)] = 0.0
+        assert (_d2(_field, P.x, P.y, "x", "y", h, diagonal=False).tobytes()
+                == off.tobytes())
 
     def test_points_stay_exact(self, monkeypatch):
         """The points each stencil hands to f equal, bit for bit and in
@@ -286,11 +291,70 @@ def _field(x, y):
                      np.power((x * y).sum(axis=-1), 3)], axis=-1)
 
 
+class TestOnePass:
+    """tensors evaluates the curvature once, on p.y and the 2n directions
+    of C's stencil, and skips the x-y pairs c == j that R-hat cancels:
+    bit for bit what a curvature pass at p.y on the full x-y grid and a
+    second pass for C (a central difference of a k closure) gave."""
+
+    METRICS = catalog.default_metrics(3) + [metric_from_dsl(
+        "sqrt(norm2(y)) + b * dot(x, y) / sqrt(1 + b^2 * norm2(x))", 3,
+        name="randers-dsl", constants={"b": 0.3})]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.name)
+    def test_equals_two_passes(self, metric, seed):
+        fd = FDPipeline(metric)
+        for p in sample_points(metric, SamplingSpec(count=2, seed=seed)):
+            T, want = fd.tensors(p), _two_passes(fd, p)
+            for name in ("N", "Rhat", "H", "k", "C"):
+                assert np.array_equal(T[name], want[name]), name
+            assert not T["Rhat"][..., range(3), range(3)].any()
+
+    def test_no_diagonal_pairs(self):
+        S, I, J = fdpipe._d2_signs(3, "x", "y", False)
+        assert len(I) == 6 and not (I == J).any()
+        shifted = [(np.flatnonzero(s[:3]), np.flatnonzero(s[3:])) for s in S]
+        assert len(S) == 24
+        assert all(len(i) == len(j) == 1 and i != j for i, j in shifted)
+
+
+def _two_passes(fd, p):
+    """N, Rhat, H and k from a curvature pass at p.y with the x-y
+    stencil on the full grid, and C = L dk/dy from a second such pass at
+    the 2n directions of a central difference."""
+    def curvature(x, y, L):
+        h = _base_h(x, y)
+
+        def G(xx, yy):
+            return fd.spray_at(xx, yy, _trail(h, 2))[1]
+
+        N = _richardson(_d1, G, x, y, "y", h=h)
+        Gxy = _richardson(_d2, G, x, y, "x", "y", h=20.0 * h)
+        Gyy = _richardson(_d2, G, x, y, "y", "y", h=20.0 * h)
+        dN = np.einsum("...icj->...ijc", Gxy) - np.einsum(
+            "...mc,...ijm->...ijc", N, np.einsum("...imj->...ijm", Gyy))
+        Rhat = dN - np.swapaxes(dN, -1, -2)
+        H = np.einsum("...k,...ikj->...ij", y, Rhat)
+        k = np.trace(H, axis1=-2, axis2=-1) / ((y.shape[-1] - 1) * L * L)
+        return N, Rhat, H, k
+
+    L = fd.metric.L(p)
+    N, Rhat, H, k = curvature(p.x, p.y, L)
+    h = 1e-2 * (1.0 + float(np.max(np.abs(p.y))))
+    C = L * _d1(lambda x, y: curvature(x, y, fd._L(x, y))[3],
+                p.x, p.y, "y", h)
+    return {"N": N, "Rhat": Rhat, "H": H, "k": float(k), "C": C}
+
+
 class TestWork:
     def test_few_calls_of_L_per_point(self):
         """Each Richardson pair is one call of L on all its points: one
-        tensors and c_form point on funk makes at most 24 calls (about
-        10^5 with one call per stencil point)."""
+        tensors point on funk, C included, makes 14 calls: one for L at
+        the point, one per Richardson pair of the spray there (g comes
+        with it), one for L at the 2n directions of C's stencil, and three
+        sprays for the curvature at all 2n + 1 directions (about 10^5
+        calls with one call per stencil point)."""
         funk = catalog.funk(3)
         calls = []
 
@@ -298,29 +362,12 @@ class TestWork:
             calls.append(np.shape(x[0]))
             return funk.evaluate(x, y)
 
-        fd = FDPipeline(dataclasses.replace(funk, evaluate=counted))
-        fd.tensors(P)
-        fd.c_form(P)
-        points = sum(math.prod(shape) for shape in calls)
-        print(f"tensors + c_form on funk: {len(calls)} calls of L, "
-              f"{points} points, largest batch {max(map(math.prod, calls))}")
-        assert len(calls) <= 24
-        assert points > 10 ** 5
-
-    def test_tensors_calls_of_L(self):
-        """tensors alone makes at most 13 calls of L: one for L, one per
-        Richardson pair of the spray (g comes with it), and three sprays
-        for the curvature."""
-        funk = catalog.funk(3)
-        calls = []
-
-        def counted(x, y):
-            calls.append(1)
-            return funk.evaluate(x, y)
-
         FDPipeline(dataclasses.replace(funk, evaluate=counted)).tensors(P)
-        print(f"tensors on funk: {len(calls)} calls of L")
-        assert len(calls) <= 13
+        points = sum(math.prod(shape) for shape in calls)
+        print(f"tensors on funk: {len(calls)} calls of L, "
+              f"{points} points, largest batch {max(map(math.prod, calls))}")
+        assert len(calls) <= 14
+        assert points == 83821
 
     def test_degenerate_metric_names_one_point(self):
         """DegenerateMetric names the first degenerate point of a batch
