@@ -86,7 +86,7 @@ def perturbed_riemannian(n, seed=0, eps=0.3):
     amp = rng.uniform(-1.0, 1.0, size=(n, n, m)) / (2.0 * m)
     freq = rng.uniform(0.5, 2.0, size=(n, n, m, n))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(n, n, m))
-    # symmetrize the construction data so S_ij == S_ji exactly
+    # symmetrize so that S_ij == S_ji exactly: L may read a_ij for a_ji
     amp = 0.5 * (amp + amp.transpose(1, 0, 2))
     freq = 0.5 * (freq + freq.transpose(1, 0, 2, 3))
     phase = 0.5 * (phase + phase.transpose(1, 0, 2))
@@ -101,10 +101,11 @@ def perturbed_riemannian(n, seed=0, eps=0.3):
         return acc
 
     def L(x, y):
-        acc = None
+        acc, a = None, {}
         for i in range(n):
             for j in range(n):
-                term = a_entry(i, j, x) * y[i] * y[j]
+                a[i, j] = a[j, i] if j < i else a_entry(i, j, x)
+                term = a[i, j] * y[i] * y[j]
                 acc = term if acc is None else acc + term
         return sqrt(acc)
 

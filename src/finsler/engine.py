@@ -7,7 +7,8 @@ scalar curvature and its vertical-derivative ladder C, B, A) by formal
 differentiation and jet arithmetic; the forms read only at the point
 (hbar, N, F and R_low) are arrays of values.  Everything is exact to
 machine precision within the jet truncation; requesting a quantity
-beyond the truncation raises :class:`OrderUnsupported`.
+beyond the truncation raises :class:`OrderUnsupported`; bianchi's one read
+past its chart, Rhat's third x-order, is on a (3, 3) chart (``Rhat_x``).
 
 Index conventions (component storage):
 
@@ -43,11 +44,13 @@ REQUIRED_ORDERS = {
     "C": (2, 5), "D2C": (2, 6), "B": (2, 6), "D2B": (2, 7), "A": (2, 7),
     "Ntensor": (2, 6), "F": (2, 6), "R": (2, 5), "R_low": (2, 5),
     # a suite differentiates past the attributes it reads: bianchi takes
-    # h_cov of Rhat, so it needs a third x-order, and no other suite does;
-    # that is why verify reads it from a second chart (see ``charts``)
+    # h_cov of Rhat, one x-order past its chart; Rhat_x reads that from
+    # N_x2 on a companion chart, as G at (2, 1) reads L at (2, 3) and
+    # (3, 2), and (3, 3) is the smallest rectangle that holds both
+    "N_x2": (3, 3),
     "lemma21": (1, 4), "lemma22": (2, 6), "lemma23": (2, 7),
     "theorem21": (2, 6), "corollary21": (2, 6), "prop21": (2, 6),
-    "lemma31": (2, 7), "bianchi": (3, 5),
+    "lemma31": (2, 7), "bianchi": (2, 5),
 }
 
 
@@ -57,20 +60,6 @@ def chart(metric: FinslerMetric, p: SamplePoint, *names) -> ChartJets:
     orders = [REQUIRED_ORDERS[name] for name in names]
     return ChartJets(metric, p, max(px for px, _ in orders),
                      max(py for _, py in orders))
-
-
-def charts(metric: FinslerMetric, p: SamplePoint, *names):
-    """Each named attribute or suite mapped to a :class:`ChartJets` at p
-    that holds its orders.  One chart is built per maximal order among the
-    names (one that no other name's order contains on both axes), in
-    sorted order, and each name reads the first that contains its own."""
-    orders = {name: REQUIRED_ORDERS[name] for name in names}
-    tops = sorted(set(orders.values()))
-    built = [ChartJets(metric, p, *top) for top in tops
-             if not any(o != top and o[0] >= top[0] and o[1] >= top[1]
-                        for o in tops)]
-    return {name: next(cj for cj in built if cj.px >= px and cj.py >= py)
-            for name, (px, py) in orders.items()}
 
 
 class ChartJets:
@@ -148,22 +137,22 @@ class ChartJets:
     def Gamma(self):
         return d_y(self.N)
 
-    def delta(self, F):
-        """Horizontal basis derivative, direction appended last:
-        (delta F)[..., c] = dF/dx^c - N^m_c dF/dy^m."""
+    def delta(self, F, Fx):
+        """Horizontal basis derivative, direction appended last, with d_x
+        of Fx: (delta F)[..., c] = dFx/dx^c - N^m_c dF/dy^m."""
         sub = _LETTERS[:len(F.shape)]
-        dxF, dyF, N = shared([d_x(F), d_y(F), self.N])
+        dxF, dyF, N = shared([d_x(Fx), d_y(F), self.N])
         return dxF - jet_einsum(f"{sub}m,mw->{sub}w", dyF, N)
 
-    def h_cov(self, F, contravariant_first=False):
+    def h_cov(self, F, contravariant_first=False, Fx=None):
         """Berwald horizontal covariant derivative of a tensor-valued jet
         field; new covariant slot appended last.  Suites read only its
-        value, so F is first cut to (1, 1) and the result is a jet at
-        (0, 0)."""
+        value, so d_x reads Fx (F, or F at more x-orders) cut to (1, 0),
+        d_y reads F cut to (0, 1), and the result is a jet at (0, 0)."""
         r = len(F.shape)
         sub = _LETTERS[:r]
-        F = restrict(F, 1, 1)
-        out, Gamma, F = shared([self.delta(F), self.Gamma, F])
+        Fx, F = restrict(F if Fx is None else Fx, 1, 0), restrict(F, 0, 1)
+        out, Gamma, F = shared([self.delta(F, Fx), self.Gamma, F])
         if contravariant_first:
             fsub = "m" + sub[1:]
             out = out + jet_einsum(f"{sub[0]}mw,{fsub}->{sub}w", Gamma, F)
@@ -178,7 +167,17 @@ class ChartJets:
     # ---- curvature ----------------------------------------------------
     @cached_property
     def Rhat(self):
-        dN = self.delta(self.N)        # [i, j, c]
+        return self._torsion(self.N)
+
+    @cached_property
+    def Rhat_x(self):
+        """Rhat at (1, 0), dN/dx read from N_x2 on a companion chart."""
+        return self._torsion(chart(self.metric, self.p, "N_x2").N_x2)
+
+    N_x2 = property(lambda self: restrict(self.N, 2, 0))  # N at (2, 0)
+
+    def _torsion(self, Nx):
+        dN = self.delta(self.N, Nx)    # [i, j, c]
         return dN - dN.tr(0, 2, 1)     # delta_c N^i_j - delta_j N^i_c
 
     @cached_property

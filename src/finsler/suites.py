@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import ChartJets, charts
+from .engine import ChartJets, chart
 from .jets import d_y
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def suite_bianchi(cj: ChartJets):
     D2H = dH.transpose(0, 2, 1)  # direction first
     rec = (D2H - D2H.transpose(0, 2, 1)) / 3.0
 
-    hR = cj.h_cov(cj.Rhat, contravariant_first=True).value()
+    hR = cj.h_cov(cj.Rhat, contravariant_first=True, Fx=cj.Rhat_x).value()
     t = hR.transpose(0, 3, 1, 2)
     cyc = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
 
@@ -274,19 +274,19 @@ UNIVERSAL_SUITES = ("lemma21", "lemma22", "lemma23", "lemma31", "bianchi")
 
 
 def run_suites(metric, points, names):
-    """Evaluate the named suites at each point, each on the first of the
-    point's charts that holds its orders (``engine.charts``); returns a list
-    of one record (suite, identity, point index, residual) per identity,
-    per point and then per suite in ``names`` order."""
+    """Evaluate the named suites at each point, all on one chart at the
+    orders they need (``engine.chart``); returns a list of one record
+    (suite, identity, point index, residual) per identity, per point and
+    then per suite in ``names`` order."""
     names = list(names)
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
     records = []
     for idx, p in enumerate(points):
-        cjs = charts(metric, p, *names)
+        cj = chart(metric, p, *names)
         for name in names:
-            for ident, value in SUITES[name](cjs[name]).items():
+            for ident, value in SUITES[name](cj).items():
                 records.append({
                     "suite": name,
                     "identity": ident,

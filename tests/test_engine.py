@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from finsler import catalog, engine, jets
+from finsler.dsl import metric_from_dsl
 from finsler.engine import REQUIRED_ORDERS, ChartJets, chart
 from finsler.errors import OrderUnsupported
-from finsler.jets import d_y, get_space, jet_einsum, restrict
+from finsler.jets import d_x, d_y, get_space, jet_einsum, restrict, shared
 from finsler.metric import SamplePoint
-from finsler.suites import SUITES, run_suites
+from finsler.sampling import SamplingSpec, sample_points
+from finsler.suites import SUITES, run_suites, suite_bianchi
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 P4 = SamplePoint([0.1, -0.2, 0.15, 0.05], [0.7, -0.3, 1.1, 0.4])
@@ -36,8 +38,9 @@ def test_required_orders_are_exact(attr):
 
 
 @pytest.mark.parametrize("names,orders", [
-    (("C", "bianchi"), (3, 5)),
-    (("A", "bianchi"), (3, 7)),
+    (("C", "bianchi"), (2, 5)),
+    (("A", "bianchi"), (2, 7)),
+    (("lemma21", "N_x2"), (3, 4)),
 ])
 def test_chart_takes_largest_orders_per_axis(names, orders):
     cj = chart(catalog.funk(3), P, *names)
@@ -113,9 +116,9 @@ class TestWork:
     # per default metric, at most so many products, pairs x components,
     # formal derivatives and copying restrictions of one point of verify
     # with every suite (derivatives and copies bounded since a product
-    # restricts each operand once, straight to its block: 32 and 8-83;
-    # euclidean made 11 copies when an operand could be restricted twice;
-    # funk: 46 and 2.84e6 when
+    # restricts each operand once, straight to its block: then 32 and
+    # 8-83, now 30 and 4-78; euclidean made 11 copies when an operand could
+    # be restricted twice; funk: 46 and 2.84e6 when
     # written; 88 and 3.09e6 when g_inv ran Gauss-Jordan on jet products;
     # 5.98e6 when every product ran in its budget space and g_inv was
     # inverted at chart - (0, 2); 2.85e6 when phi, hbar, Ntensor, F and
@@ -123,16 +126,18 @@ class TestWork:
     # values and phi's first y-derivative; funk 46 products when hbar,
     # Ntensor, F and R_low were jets at (0, 0) and suites took d_y of C
     # and B again; 40 products and 1.38e6 when verify read every suite
-    # from one chart at (3, 7) and h_cov ran at its operand's budget: the
-    # charts at (2, 7) and (3, 5) run the G -> Rhat chain twice, so there
-    # are more products, on about half the pairs)
+    # from one chart at (3, 7) and h_cov ran at its operand's budget; 57
+    # and 5.19e5 when bianchi read a second chart at (3, 5) that reran the
+    # G -> Rhat chain; the (3, 3) companion that only Rhat_x reads reruns
+    # G -> N on about two thirds of those pairs; perturbed 4.65e5 then,
+    # 3.04e5 once its L evaluated each symmetric entry once)
     VERIFY_WORK = {
-        "euclidean": (39, 3.9e4, 32, 8),
-        "riemannian_space_form(kappa=1)": (47, 4.33e5, 32, 11),
-        "riemannian_space_form(kappa=-1)": (47, 4.33e5, 32, 11),
-        "funk": (57, 5.19e5, 32, 31),
-        "randers_pflat": (45, 3.05e5, 32, 23),
-        "perturbed_riemannian(seed=0)": (69, 4.65e5, 32, 83),
+        "euclidean": (38, 3.46e4, 30, 4),
+        "riemannian_space_form(kappa=1)": (46, 2.72e5, 30, 6),
+        "riemannian_space_form(kappa=-1)": (46, 2.72e5, 30, 6),
+        "funk": (56, 3.27e5, 30, 26),
+        "randers_pflat": (44, 2.11e5, 30, 18),
+        "perturbed_riemannian(seed=0)": (68, 3.04e5, 30, 78),
     }
 
     def test_products_and_pair_volume(self, monkeypatch):
@@ -208,16 +213,19 @@ class TestWork:
 
 
 class TestCharts:
-    """verify reads each suite from the first chart, among one per maximal
-    order of the requested suites, that holds the suite's orders."""
+    """verify reads the requested suites from one chart at the largest
+    orders they need, and bianchi reads its one third x-order, Rhat_x,
+    from a companion chart at (3, 3) built only for it."""
 
     @pytest.mark.parametrize("metric,p", [
         *(pytest.param(m, P, id=m.name) for m in catalog.default_metrics(3)),
         pytest.param(catalog.randers_pflat(4), P4, id="randers_pflat-n4")])
     def test_records_equal_one_bounding_chart(self, metric, p):
         """Every residual equals, float for float, the suite's residual on
-        one chart at the orders of every suite: a product's pairs I + J = K
-        are the same, in the same order, in every space that holds K."""
+        one chart at the orders of every suite, whichever suites verify
+        reads and so whatever its chart's orders: a product's pairs
+        I + J = K are the same, in the same order, in every space that
+        holds K."""
         q = SamplePoint(-0.5 * p.x, p.y[::-1])
         on_one = []
         for pt in (p, q):
@@ -233,10 +241,11 @@ class TestCharts:
             assert got == want
 
     @pytest.mark.parametrize("names,orders", [
-        (sorted(SUITES), [(2, 7), (3, 5)]),
-        (["lemma21", "bianchi"], [(3, 5)]),
-        (["bianchi", "lemma21"], [(3, 5)]),
-        *(([name], [REQUIRED_ORDERS[name]]) for name in SUITES)])
+        (sorted(SUITES), [(2, 7), (3, 3)]),
+        (["lemma21", "bianchi"], [(2, 5), (3, 3)]),
+        (["bianchi", "lemma21"], [(2, 5), (3, 3)]),
+        *(([name], [REQUIRED_ORDERS[name]] + [(3, 3)] * (name == "bianchi"))
+          for name in SUITES)])
     def test_one_chart_per_maximal_order(self, monkeypatch, names, orders):
         built = []
         init = ChartJets.__init__
@@ -247,4 +256,49 @@ class TestCharts:
 
         monkeypatch.setattr(ChartJets, "__init__", counted_init)
         run_suites(catalog.funk(3), [P], names)
+        print(f"verify {', '.join(names)}: charts at {built}")
         assert built == orders
+
+
+class TestCompanion:
+    """bianchi's h_cov of Rhat takes its x-derivative from Rhat_x, Rhat at
+    (1, 0) from the N of a companion chart at (3, 3): bit for bit what a
+    chart at (3, 5), where Rhat holds (1, 1), gave."""
+
+    METRICS = catalog.default_metrics(3) + [
+        catalog.randers_pflat(4),
+        metric_from_dsl(
+            "sqrt(norm2(y)) + b * dot(x, y) / sqrt(1 + b^2 * norm2(x))", 3,
+            name="randers-dsl", constants={"b": 0.3})]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("metric", METRICS,
+                             ids=lambda m: f"{m.name}-n{m.n}")
+    def test_equals_one_chart_at_3_5(self, metric, seed):
+        for p in sample_points(metric, SamplingSpec(count=2, seed=seed)):
+            cj = chart(metric, p, "bianchi")
+            assert (cj.px, cj.py) == (2, 5)
+            old = ChartJets(metric, p, 3, 5)
+            # bianchi on the (3, 5) chart, through the h_cov it read there
+            old.Rhat_x = None
+            old.h_cov = lambda F, contravariant_first, Fx: _h_cov_3_5(old, F)
+            hR = cj.h_cov(cj.Rhat, contravariant_first=True, Fx=cj.Rhat_x)
+            want = _h_cov_3_5(old, old.Rhat)
+            assert np.array_equal(hR.value(), want.value())
+            got, want = suite_bianchi(cj), suite_bianchi(old)
+            assert len(got) == 5 and got.keys() == want.keys()
+            for ident in want:
+                assert np.array_equal(got[ident], want[ident]), ident
+
+
+def _h_cov_3_5(cj, F):
+    """h_cov(F, contravariant_first=True) of a rank-3 jet F as bianchi
+    read it from a chart at (3, 5): F cut to (1, 1), both derivatives of
+    that cut."""
+    F = restrict(F, 1, 1)
+    dxF, dyF, N = shared([d_x(F), d_y(F), cj.N])
+    out = dxF - jet_einsum("abcm,mw->abcw", dyF, N)
+    out, Gamma, F = shared([out, cj.Gamma, F])
+    out = out + jet_einsum("amw,mbc->abcw", Gamma, F)
+    out = out - jet_einsum("mbw,amc->abcw", Gamma, F)
+    return out - jet_einsum("mcw,abm->abcw", Gamma, F)
