@@ -348,10 +348,10 @@ def eval_ast(ast: MetricAst, x, y, constants: dict = None):
     # overflow gives inf, as in float arithmetic; the check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         val = _ev(ast.root, x, y, consts)
+    if not np.all(np.isfinite(val.c if isinstance(val, jets.Jet) else val)):
+        _fail("non-finite result", ast.root)
     if isinstance(val, jets.Jet):
         return val
-    if not np.all(np.isfinite(val)):
-        _fail("non-finite result", ast.root)
     return float(val) if np.ndim(val) == 0 else val
 
 

@@ -1,12 +1,17 @@
 """Independent numerical oracles used by the test suite.
 
-These share no code with the jet engine: Christoffel symbols and the
+Most share no code with the jet engine: Christoffel symbols and the
 Riemann tensor are obtained by plain central differences of the metric
 component matrix a_ij(x) of a Riemannian metric, and the flag curvature
 of a projectively flat metric by central differences of L in x alone.
+``H_spray`` reads the spray of a chart but none of the connection or
+curvature built from it, and ``projected_norms`` reads the two forms
+that Prop 2.1 compares.
 """
 
 import numpy as np
+
+from finsler.jets import d_x, d_y
 
 
 def christoffel_fd(a_fn, x, h=1e-5):
@@ -80,3 +85,28 @@ def k_pflat(metric, p, h=1e-3):
     P = d1 / (2.0 * f0)
     dP = d2 / (2.0 * f0) - d1 * d1 / (2.0 * f0 * f0)
     return (P * P - dP) / (f0 * f0)
+
+
+def H_spray(cj):
+    """The Riemann curvature R^i_k from the spray alone (Shen, Lectures
+    on Finsler Geometry, 2001, ch. 6):
+    R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k + 2 G^j d2G^i/dy^j dy^k
+            - N^i_j N^j_k,  with N^i_j = dG^i/dy^j.
+    It uses no delta, no Rhat and no antisymmetrization, so it is a
+    second formula for the deviation tensor H of a chart at (2, 4)."""
+    G = cj.G
+    y = cj.p.y
+    Gx, N = d_x(G).value(), d_y(G).value()  # [i, k]
+    Gxy = d_y(d_x(G)).value()  # [i, j, k]: d/dx^j, then d/dy^k
+    Gyy = d_y(d_y(G)).value()  # [i, j, k]
+    return (2.0 * Gx - np.einsum("j,ijk->ik", y, Gxy)
+            + 2.0 * np.einsum("j,ijk->ik", G.value(), Gyy) - N @ N)
+
+
+def projected_norms(cj):
+    """max |PR| and max |PN| at a chart: the lowered curvature and the N
+    form with phi in every slot.  Prop 2.1 says that on a space of scalar
+    curvature one vanishes exactly when the other does."""
+    phi = cj.phi.value()
+    PR = np.einsum("ax,by,cz,dw,abcd->xyzw", phi, phi, phi, phi, cj.R_low)
+    return np.abs(PR).max(), np.abs(phi.T @ cj.Ntensor @ phi).max()

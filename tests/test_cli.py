@@ -82,6 +82,21 @@ class TestTensors:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dsl_overflow_exit3(self, tmp_path, capsys):
+        """An L whose jet overflows to inf is one typed error line, also
+        with RuntimeWarning as an error: no homogeneity check on inf, and
+        no traceback."""
+        cfg = write_config(tmp_path, "o.json", {
+            "metric": {"dsl": "sqrt(norm2(y)) * 1e200 * 1e200",
+                       "dimension": 3},
+            "sampling": {"count": 2},
+        })
+        assert main(["verify", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite result (in "
+            "'sqrt(norm2(y)) * 1e+200 * 1e+200')\n")
+
     @pytest.mark.parametrize("metric,sampling,reason", [
         ({"dsl": "-sqrt(norm2(y))", "dimension": 3}, {"count": 1},
          "L <= 0: 200"),

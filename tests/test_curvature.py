@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from finsler import catalog
+from finsler.dsl import metric_from_dsl
 from finsler.engine import ChartJets, chart
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
 from finsler.suites import suite_bianchi
-from oracles import deviation_fd, k_pflat, riemann_fd, space_form_a
+from oracles import (H_spray, deviation_fd, k_pflat, riemann_fd,
+                     space_form_a)
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 P4 = SamplePoint([0.1, -0.2, 0.15, 0.05], [0.7, -0.3, 1.1, 0.4])
+
+# the Randers metric of demos/04_dsl_and_cli.py, on jets through the DSL
+DSL_RANDERS = metric_from_dsl(
+    "sqrt(norm2(y)) + b * dot(x, y) / sqrt(1 + b^2 * norm2(x))", 3,
+    name="randers-dsl", constants={"b": 0.3})
 
 
 def torsion(metric, p):
@@ -115,6 +122,20 @@ class TestDeviation:
         want = 3.0 * r ** 2 / F ** 3 * (p.y - r ** 2 * (p.y / r + p.x) / F)
         C = chart(catalog.randers_pflat(len(p.y)), p, "C").C.value()
         assert np.abs(C - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("metric", catalog.default_metrics(3)
+                             + catalog.default_metrics(4) + [DSL_RANDERS],
+                             ids=lambda m: f"{m.name}-n{m.n}")
+    def test_spray_formula(self, metric):
+        """Jet H equals the curvature from the spray alone
+        (``oracles.H_spray``), and k is tr H / ((n - 1) L^2) of it.  This
+        catches a wrong Rhat, H or k; a wrong G is read by both sides."""
+        for p in sample_points(metric, SamplingSpec(count=4, seed=11)):
+            cj = ChartJets(metric, p, 2, 4)
+            H, R, L = cj.H.value(), H_spray(cj), cj.L.value()
+            assert np.abs(H - R).max() <= 1e-12 * max(1.0, np.abs(H).max())
+            k_R = np.trace(R) / ((metric.n - 1) * L * L)
+            assert abs(cj.k.value() - k_R) <= 1e-12 * max(1.0, abs(k_R))
 
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_kills_direction(self, metric):

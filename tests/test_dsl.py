@@ -226,10 +226,14 @@ class TestEvaluation:
         assert str(batch.value) == str(scalar.value)
 
     def test_overflow_is_a_non_finite_result(self):
+        """On a float, an array and seeded jets alike."""
         ast = parse_metric("y1 * 1e300 * 1e300 + y2", 3)
-        for y1 in (2.0, np.array([1.0, 2.0])):
+        xs, ys = get_space(3, 0, 1).seed(np.zeros(3), np.ones(3))
+        for x, y in [([0.0] * 3, [2.0, 1.0, 1.0]),
+                     ([0.0] * 3, [np.array([1.0, 2.0]), 1.0, 1.0]),
+                     (xs, ys)]:
             with pytest.raises(EvalDomainError, match="non-finite"):
-                eval_ast(ast, [0.0] * 3, [y1, 1.0, 1.0])
+                eval_ast(ast, x, y)
 
     @pytest.mark.parametrize("src,build", [
         (EUCLID, catalog.euclidean),

@@ -7,15 +7,16 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from finsler import catalog
+from finsler import catalog, scalarclass
 from finsler.engine import ChartJets, chart
 from finsler.errors import DimensionTooSmall, InternalInconsistency
-from finsler.metric import SamplePoint
+from finsler.jets import dot, sqrt
+from finsler.metric import FinslerMetric, SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
 from finsler.scalarclass import classify
-from finsler.suites import (SUITES, _mx, _projected, isotropy,
+from finsler.suites import (SUITES, UNIVERSAL_SUITES, isotropy, run_suites,
                             suite_lemma22, suite_lemma23, suite_prop21)
-from oracles import deviation_fd, space_form_a
+from oracles import deviation_fd, projected_norms, space_form_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 
@@ -35,11 +36,11 @@ def isotropy_residual(metric, p):
 
 
 def prop21_with_norms(metric, p):
-    """The prop21 suite plus the two projected norms it compares."""
+    """The prop21 suite plus the two projected norms Prop 2.1 compares."""
     cj = chart(metric, p, "prop21")
     res = suite_prop21(cj)
     res["projected_curvature_norm"], res["projected_N_norm"] = \
-        map(_mx, _projected(cj))
+        projected_norms(cj)
     return res
 
 
@@ -219,6 +220,48 @@ class TestClassify:
             assert set(entry) == {"value", "tolerance"}
 
 
+class TestSampleOrder:
+    """A verdict does not depend on the order of the sample points: the
+    same points, permuted, give the same verdict, per-point values and
+    maxima; the mean and spread of k move only by summation order."""
+
+    SPEC = SamplingSpec(count=4, seed=31)
+    PERM = [2, 0, 3, 1]
+
+    @pytest.mark.parametrize("backend", ["jet", "fd"])
+    @pytest.mark.parametrize("metric", catalog.default_metrics(3),
+                             ids=lambda m: m.name)
+    def test_classify(self, monkeypatch, metric, backend):
+        def permuted(metric, spec):
+            points = sample_points(metric, spec)
+            return [points[i] for i in self.PERM]
+
+        base = classify(metric, self.SPEC, backend=backend)
+        monkeypatch.setattr(scalarclass, "sample_points", permuted)
+        perm = classify(metric, self.SPEC, backend=backend)
+        assert perm.verdict == base.verdict
+        assert perm.k_samples == [base.k_samples[i] for i in self.PERM]
+        for name, entry in base.residuals.items():
+            if name.startswith("max_"):
+                assert perm.residuals[name] == entry, name
+        tol = 1e-15 * (1.0 + abs(base.k_mean))
+        assert abs(perm.k_mean - base.k_mean) <= tol
+        assert abs(perm.k_std - base.k_std) <= tol
+
+    @pytest.mark.parametrize("metric", catalog.default_metrics(3),
+                             ids=lambda m: m.name)
+    def test_run_suites(self, metric):
+        points = sample_points(metric, self.SPEC)
+        base = run_suites(metric, points, SUITES)
+        perm = run_suites(metric, [points[i] for i in self.PERM], SUITES)
+
+        def per_point(records, order):
+            return [[(r["suite"], r["identity"], r["residual"])
+                     for r in records if r["sample"] == j] for j in order]
+
+        assert per_point(perm, range(4)) == per_point(base, self.PERM)
+
+
 def _mutate(monkeypatch, name, change):
     """Make the ChartJets attribute ``name`` change(its jet): a planted
     defect for the cross-checks of classify to find."""
@@ -244,3 +287,60 @@ class TestInternalInconsistency:
                 r"^C-criterion and k-spread witness disagree on "
                 r"randers_pflat: \|C\|=0\.000e\+00, std\(k\)=\S+$")):
             classify(catalog.randers_pflat(3), SamplingSpec(count=3, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# power: every characterization identity can fail
+
+def f_eps(eps):
+    """F_eps = |y| + 0.3<x, y> + eps x_1 y_2 on the unit ball: a Randers
+    metric whose 1-form is closed, so projectively flat and of scalar
+    curvature, only at eps = 0; a characterization residual grows as
+    eps^2 from the rounding floor."""
+
+    def L(x, y):
+        return sqrt(dot(y, y)) + 0.3 * dot(x, y) + eps * x[0] * y[1]
+
+    return FinslerMetric(n=3, evaluate=L, name=f"F_eps({eps:g})",
+                         domain=catalog._ball(1.0))
+
+
+POWER_POINTS = sample_points(catalog.randers_pflat(3),
+                             SamplingSpec(count=3, seed=0, radius=0.3))
+CHARACTERIZATION_SUITES = [s for s in SUITES if s not in UNIVERSAL_SUITES]
+
+
+def max_residuals(metric, suite):
+    """{identity: max residual over POWER_POINTS} of one suite."""
+    out = {}
+    for r in run_suites(metric, POWER_POINTS, [suite]):
+        out[r["identity"]] = max(out.get(r["identity"], 0.0), r["residual"])
+    return out
+
+
+class TestPower:
+    """Each identity of a suite outside UNIVERSAL_SUITES must fail where
+    the curvature is not scalar: above 1e-3 on the generic metric; on
+    F_eps at eps = 1e-3 more than 1e3 times its value on randers_pflat;
+    and from eps = 1e-3 to 1e-1 up by eps^2, 1e4, within a factor of 2.
+    An identity that holds on every metric belongs to a universal suite
+    or nowhere."""
+
+    @pytest.mark.parametrize("suite", CHARACTERIZATION_SUITES)
+    def test_identities_detect_non_scalar_curvature(self, suite):
+        generic = max_residuals(catalog.perturbed_riemannian(3), suite)
+        floor = max_residuals(catalog.randers_pflat(3), suite)
+        small = max_residuals(f_eps(1e-3), suite)
+        large = max_residuals(f_eps(1e-1), suite)
+        weak = []
+        for ident in generic:
+            growth = large[ident] / max(small[ident], 1e-300)
+            print(f"{suite}.{ident}: generic {generic[ident]:.2e}, "
+                  f"randers_pflat {floor[ident]:.2e}, F_eps(1e-3) "
+                  f"{small[ident]:.2e}, F_eps(1e-1) {large[ident]:.2e}, "
+                  f"growth {growth:.3g}")
+            if not (generic[ident] > 1e-3
+                    and small[ident] > 1e3 * floor[ident]
+                    and 5e3 <= growth <= 2e4):
+                weak.append(ident)
+        assert not weak, f"{suite} identities that cannot fail: {weak}"
