@@ -19,8 +19,8 @@ from .metric import FinslerMetric
 
 
 def _ball(r2):
-    """The domain |x|^2 < r2."""
-    return lambda x: float(np.dot(x, x)) < r2
+    """The domain |x|^2 < r2 of x (..., n)."""
+    return lambda x: np.einsum("...i,...i", x, x) < r2
 
 
 def euclidean(n):

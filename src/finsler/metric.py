@@ -44,12 +44,14 @@ class SamplePoint:
 
 @dataclass(frozen=True)
 class FinslerMetric:
-    """A fundamental function L(x, y) on a single coordinate chart."""
+    """A fundamental function L(x, y) on a single coordinate chart, and its
+    domain: x of any batch shape (..., n) -> bool of shape (...), True where
+    x is in the chart, or None for all of R^n; in_domain is its one-x form."""
 
     n: int
     evaluate: Callable
     name: str = "metric"
-    domain: Optional[Callable] = None  # x -> bool; None means all of R^n
+    domain: Optional[Callable] = None
     domain_desc: str = "all of R^n"
 
     def in_domain(self, x) -> bool:

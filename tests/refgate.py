@@ -10,7 +10,9 @@ once, by running this file from the repository root::
 
 ``PYTHONPATH=src python tests/refgate.py drift`` writes nothing: it
 reruns every run and prints each one whose record is not byte-identical
-to its reference, with its worst float drift, and a summary line.
+to its reference, with its worst float drift and each verify record it
+added or removed (records are paired by suite, identity and sample), and a
+summary line.
 
 ``PYTHONPATH=src python tests/refgate.py digest`` writes nothing either:
 it reruns every run and prints the sha256 of each record (exit code,
@@ -213,6 +215,36 @@ def float_drifts(backend, ref, new, path=()):
         yield abs(new - ref) / max(1.0, abs(ref)), bound(backend, path)
 
 
+def keyed(report):
+    """The lines of a report by key: a verify record by its (suite,
+    identity, sample), any other line by its place among the others."""
+    out, others = {}, 0
+    for line in report:
+        if isinstance(line, dict) and "identity" in line:
+            out[line["suite"], line["identity"], line["sample"]] = line
+        else:
+            out[others], others = line, others + 1
+    return out
+
+
+def report_drift(run_id, backend, ref, new):
+    """The lines ``drift`` prints for a run whose report ``new`` is not
+    byte-identical to its reference ``ref``: its worst float drift, with
+    lines paired by :func:`keyed`, and each record only one of them has;
+    and the largest float drift."""
+    ref, new = keyed(ref), keyed(new)
+    drifts = list(float_drifts(backend, ref, new))
+    worst, b = max(drifts, key=lambda d: d[0] / d[1], default=(0.0, 1.0))
+    lines = [f"{run_id}: worst float drift {worst:.2g} (bound {b:g})"]
+    for what, keys in (("removed", ref.keys() - new.keys()),
+                       ("added", new.keys() - ref.keys())):
+        for key in sorted(keys, key=str):
+            name = (f"record {key[0]}.{key[1]} sample {key[2]}"
+                    if isinstance(key, tuple) else f"line {key}")
+            lines.append(f"{run_id}: {what} {name}")
+    return lines, max([0.0] + [d for d, _ in drifts])
+
+
 def drift():
     """Rerun every run, write nothing, and print how far each report
     that is not byte-identical to its reference moved."""
@@ -223,12 +255,11 @@ def drift():
         if text == _path(run_id).read_text():
             identical += 1
             continue
-        drifts = list(float_drifts(backend, load(run_id)["report"],
-                                   json.loads(text)["report"]))
-        worst, b = max(drifts, key=lambda d: d[0] / d[1], default=(0.0, 1.0))
-        print(f"{run_id}: worst float drift {worst:.2g} (bound {b:g})")
+        lines, worst = report_drift(run_id, backend, load(run_id)["report"],
+                                    json.loads(text)["report"])
+        print("\n".join(lines))
         if backend == "jet":
-            worst_jet = max([worst_jet] + [d for d, _ in drifts])
+            worst_jet = max(worst_jet, worst)
     print(f"{identical} of {len(all_runs)} byte-identical; worst jet drift "
           f"{worst_jet:.2g} (bound {JET_BOUND:g})")
 

@@ -14,8 +14,9 @@ import pytest
 from finsler import catalog, cli, jets
 from finsler.dsl import eval_ast, parse_metric
 from finsler.engine import chart
-from finsler.errors import DegenerateMetric, DomainError, EvalDomainError
-from finsler.fdpipe import FDPipeline
+from finsler.errors import (ConfigError, DegenerateMetric, DomainError,
+                            EvalDomainError)
+from finsler.fdpipe import FDPipeline, _base_h
 from finsler.metric import FinslerMetric, SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
 from finsler.scalarclass import classify
@@ -125,10 +126,20 @@ class TestBackendParity:
             FDPipeline(metric).c_form(p)
 
 
+P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
+H_P = _base_h(P.x, P.y)
+# reached from P only by the spray's inner +h stencil along e2 around the
+# curvature's outer 20h stencil along e1
+INNER_X = P.x + 20.0 * H_P * np.eye(3)[0] + H_P * np.eye(3)[1]
+NORMAL = np.array([1.0, 2.0, -2.0]) / 3.0  # a unit normal off the axes
+
+
 class TestFDReach:
-    """The FD backend refuses a point whose stencils leave the domain,
-    before it evaluates L there: tensors, and c_form through it, reach
-    about 21h from the point (h = 1e-3 (1 + max |x|, |y|))."""
+    """The FD backend evaluates L only on batches whose every x the
+    metric's domain holds: each call of L is checked first, on exactly
+    its own points, so a point whose stencils leave the domain is refused
+    before L is evaluated outside it.  tensors, and c_form through it,
+    reach about 21h from the point (h = 1e-3 (1 + max |x|, |y|))."""
 
     Y = [0.3, 1.0, 0.0]
 
@@ -155,29 +166,78 @@ class TestFDReach:
     @pytest.mark.parametrize("name", ["tensors", "c_form"])
     def test_checks_exactly_the_points_it_evaluates(self, name):
         """Inside the domain the results are those without a domain, and
-        the x checked are the x at which L is evaluated, bit for bit."""
+        each call of L is on exactly the batch of x that the domain
+        checked just before it, bit for bit."""
         funk = catalog.funk(3)
         p = SamplePoint([0.9, 0.0, 0.0], self.Y)
-        evaluated, checked = set(), set()
+        calls = []
 
         def evaluate(x, y):
-            X = np.broadcast_arrays(*x, *y)[:3]
-            evaluated.update(zip(*(np.ravel(c).tolist() for c in X)))
+            X = np.stack(np.broadcast_arrays(*x, *y)[:3], axis=-1)
+            calls.append(("evaluate", X))
             return funk.evaluate(x, y)
 
         def domain(x):
-            checked.add(tuple(x.tolist()))
+            calls.append(("domain", np.array(x)))
             return funk.domain(x)
 
         got = getattr(FDPipeline(dataclasses.replace(
             funk, evaluate=evaluate, domain=domain)), name)(p)
         want = getattr(FDPipeline(dataclasses.replace(funk, domain=None)),
                        name)(p)
-        assert evaluated == checked
-        assert len(checked) == 505
+        assert [kind for kind, _ in calls] == ["domain", "evaluate"] * (
+            len(calls) // 2)
+        for (_, checked), (_, evaluated) in zip(calls[::2], calls[1::2]):
+            assert np.array_equal(np.broadcast_to(checked, evaluated.shape),
+                                  evaluated)
+        rows = {tuple(r) for _, X in calls for r in X.reshape(-1, 3).tolist()}
+        assert len(rows) == 505
         for a, b in (zip(got.values(), want.values()) if name == "tensors"
                      else [(got, want)]):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name,domain", [
+        ("all-but-one-x", lambda x: np.linalg.norm(
+            x - INNER_X, axis=-1) > 1e-2 * H_P),
+        ("half-space", lambda x: x @ NORMAL < NORMAL @ P.x + 5.0 * H_P),
+    ], ids=["all-but-one-x", "half-space"])
+    def test_refuses_a_point_whose_stencils_leave(self, name, domain):
+        """A domain that excludes only one x the stencils reach, and one
+        bounded by a plane not aligned with the axes: DomainError names
+        the sample point and an x outside, and L is never evaluated
+        outside the domain."""
+        rows = []
+        metric = catalog.euclidean(3)
+
+        def evaluate(x, y):
+            rows.extend(np.stack(np.broadcast_arrays(*x, *y)[:3], axis=-1)
+                        .reshape(-1, 3).tolist())
+            return metric.evaluate(x, y)
+
+        fd = FDPipeline(dataclasses.replace(
+            metric, evaluate=evaluate, domain=domain, domain_desc=name))
+        with pytest.raises(DomainError) as info:
+            fd.tensors(P)
+        message = str(info.value)
+        assert message.startswith(
+            f"FD stencils at x={P.x.tolist()}, y={P.y.tolist()} reach x=")
+        assert message.endswith(f"outside chart domain ({name})")
+        named = np.array(json.loads(message.split(" reach x=")[1]
+                                    .split("]")[0] + "]"))
+        assert not domain(named)
+        if name == "all-but-one-x":
+            assert np.allclose(named, INNER_X, rtol=0, atol=1e-12)
+        assert rows and np.all(domain(np.array(rows)))
+
+    def test_domain_of_one_point_only(self):
+        """A domain written for one x, not a batch, ends in a typed error
+        that names the metric, never in a check of the wrong rows."""
+        metric = dataclasses.replace(catalog.euclidean(3), name="one_x",
+                                     domain=lambda x: x[0] < 0.2)
+        assert metric.in_domain([0.1, 0.0, 0.0])
+        with pytest.raises(ConfigError, match="^one_x: domain of x of "
+                                              "shape"):
+            FDPipeline(metric).tensors(P)
 
 
 class TestConstantL:
