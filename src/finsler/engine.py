@@ -171,11 +171,8 @@ class ChartJets:
 
     @cached_property
     def Rhat_x(self):
-        """Rhat at (1, 0), dN/dx read from N_x2 here or on a companion."""
-        px, py = REQUIRED_ORDERS["N_x2"]
-        host = (self if self.px >= px and self.py >= py
-                else chart(self.metric, self.p, "N_x2"))
-        return self._torsion(host.N_x2)
+        """Rhat at (1, 0), dN/dx read from N_x2 on a companion chart."""
+        return self._torsion(chart(self.metric, self.p, "N_x2").N_x2)
 
     N_x2 = property(lambda self: restrict(self.N, 2, 0))  # N at (2, 0)
 

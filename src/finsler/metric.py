@@ -44,14 +44,12 @@ class SamplePoint:
 
 @dataclass(frozen=True)
 class FinslerMetric:
-    """A fundamental function L(x, y) on a single coordinate chart, and its
-    domain: x of any batch shape (..., n) -> bool of shape (...), True where
-    x is in the chart, or None for all of R^n; in_domain is its one-x form."""
+    """A fundamental function L(x, y) on a single coordinate chart."""
 
     n: int
     evaluate: Callable
     name: str = "metric"
-    domain: Optional[Callable] = None
+    domain: Optional[Callable] = None  # x (..., n) -> bool (...); None: R^n
     domain_desc: str = "all of R^n"
 
     def in_domain(self, x) -> bool:

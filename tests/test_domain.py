@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from finsler import catalog, cli, jets
-from finsler.dsl import eval_ast, parse_metric
+from finsler.dsl import eval_ast, metric_from_dsl, parse_metric
 from finsler.engine import chart
 from finsler.errors import (ConfigError, DegenerateMetric, DomainError,
                             EvalDomainError)
@@ -238,6 +238,40 @@ class TestFDReach:
         with pytest.raises(ConfigError, match="^one_x: domain of x of "
                                               "shape"):
             FDPipeline(metric).tensors(P)
+
+    def test_domain_that_cannot_take_a_batch(self):
+        """A domain that raises on a batch, such as a ball written with
+        float(x . x), raises its own error on the first batch, before L
+        is evaluated anywhere but at the sample point itself."""
+        rows = []
+        funk = catalog.funk(3)
+
+        def evaluate(x, y):
+            rows.extend(np.stack(np.broadcast_arrays(*x, *y)[:3], axis=-1)
+                        .reshape(-1, 3).tolist())
+            return funk.evaluate(x, y)
+
+        metric = dataclasses.replace(
+            funk, evaluate=evaluate,
+            domain=lambda x: float(np.dot(x, x)) < 1.0)
+        p = SamplePoint([0.5, 0.0, 0.0], self.Y)
+        with pytest.raises((TypeError, ValueError)):
+            FDPipeline(metric).tensors(p)
+        assert rows == [p.x.tolist()]
+
+    def test_degenerate_before_the_stencils_leave(self):
+        """Batches are checked in the order they are evaluated: where g
+        is degenerate at p, the spray's first batch, which moves only y,
+        ends in DegenerateMetric, though the x-stencils after it would
+        leave this domain, as they do for the Euclidean metric."""
+        p = SamplePoint([0.1, 0.2, 0.0], [0.6, 0.8, 0.0])
+        for source, error in (("sqrt(y1^2 + y2^2)", DegenerateMetric),
+                              ("sqrt(y1^2 + y2^2 + y3^2)", DomainError)):
+            metric = dataclasses.replace(
+                metric_from_dsl(source, 3), domain_desc="x1 < c",
+                domain=lambda x: x[..., 0] < 0.1 + 1e-4)
+            with pytest.raises(error):
+                FDPipeline(metric).tensors(p)
 
 
 class TestConstantL:

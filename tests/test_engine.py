@@ -290,31 +290,6 @@ class TestCompanion:
             for ident in want:
                 assert np.array_equal(got[ident], want[ident]), ident
 
-    @pytest.mark.parametrize("metric", METRICS,
-                             ids=lambda m: f"{m.name}-n{m.n}")
-    def test_host_at_3_5_reads_its_own_N(self, monkeypatch, metric):
-        """A chart that holds N_x2's orders reads Rhat_x from its own N:
-        bianchi on a (3, 5) chart builds that one chart, and gives, bit
-        for bit, what it gave with Rhat_x from a companion at (3, 3)."""
-        for p in sample_points(metric, SamplingSpec(count=2, seed=0)):
-            old = ChartJets(metric, p, 3, 5)
-            old.Rhat_x = old._torsion(chart(metric, p, "N_x2").N_x2)
-            want = suite_bianchi(old)
-            built = []
-            init = ChartJets.__init__
-
-            def counted_init(self, metric, p, px, py):
-                built.append((px, py))
-                init(self, metric, p, px, py)
-
-            with monkeypatch.context() as m:
-                m.setattr(ChartJets, "__init__", counted_init)
-                got = suite_bianchi(ChartJets(metric, p, 3, 5))
-            assert built == [(3, 5)]
-            assert len(got) == 5 and got.keys() == want.keys()
-            for ident in want:
-                assert np.array_equal(got[ident], want[ident]), ident
-
 
 def _h_cov_3_5(cj, F):
     """h_cov(F, contravariant_first=True) of a rank-3 jet F as bianchi
