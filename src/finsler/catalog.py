@@ -79,7 +79,7 @@ def randers_pflat(n):
 def perturbed_riemannian(n, seed=0, eps=0.3):
     """Riemannian metric a_ij = delta_ij + eps * S_ij(x) with S a seeded
     smooth symmetric trigonometric perturbation; generically not of
-    scalar curvature.  Exposes ``a_matrix(x)`` for external oracles."""
+    scalar curvature."""
 
     rng = np.random.Generator(np.random.Philox(seed))
     m = 2  # harmonics per entry
@@ -109,15 +109,8 @@ def perturbed_riemannian(n, seed=0, eps=0.3):
                 acc = term if acc is None else acc + term
         return sqrt(acc)
 
-    def a_matrix(x):
-        """Component matrix a_ij(x) for float coordinates (oracle hook)."""
-        return np.array([[a_entry(i, j, list(np.asarray(x, dtype=float)))
-                          for j in range(n)] for i in range(n)])
-
-    metric = FinslerMetric(n=n, evaluate=L,
-                           name=f"perturbed_riemannian(seed={seed})")
-    object.__setattr__(metric, "a_matrix", a_matrix)
-    return metric
+    return FinslerMetric(n=n, evaluate=L,
+                         name=f"perturbed_riemannian(seed={seed})")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Subcommands::
     finsler verify   --config cfg.json ...
     finsler classify --config cfg.json ...
 
-The config is a JSON document::
+The config is a JSON document; a key not shown is a config error::
 
     {
       "metric": {"catalog": "funk", "dimension": 3, "params": {}}
@@ -60,16 +60,29 @@ DEFAULT_TOL = 1e-6
 JET_TENSORS = ("L", "g", "G", "N", "Gamma", "Rhat", "H", "k", "C", "B", "A")
 
 
+def _not_json(token):  # json.load reads NaN and Infinity; JSON has neither
+    raise ValueError(f"{token} is not a JSON value")
+
+
+def _check_keys(obj, known, where):
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown {where} key {key!r}; known: "
+                              f"{sorted(known)}")
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_not_json)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     except ValueError as e:  # bad JSON or UTF-8, or an int too long to read
         raise ConfigError(f"malformed config {path}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
+    _check_keys(cfg, ("metric", "sampling", "backend", "suites",
+                      "tolerances", "output"), "config")
     return cfg
 
 
@@ -77,6 +90,8 @@ def _build_metric(cfg):
     spec = cfg.get("metric")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'metric' object")
+    _check_keys(spec, ("catalog", "dsl", "dimension", "params", "constants",
+                       "name"), "metric")
     has_catalog = "catalog" in spec
     has_dsl = "dsl" in spec
     if has_catalog == has_dsl:
@@ -110,7 +125,9 @@ def _sampling(cfg, args):
     s = cfg.get("sampling", {})
     if not isinstance(s, dict):
         raise ConfigError("'sampling' must be an object")
-    count = args.samples if args.samples is not None else s.get("count", 20)
+    _check_keys(s, ("count", "seed", "radius"), "sampling")
+    count = (args.samples if args.samples is not None
+             else s.get("count", SamplingSpec.count))
     seed = args.seed if args.seed is not None else s.get("seed", 0)
     if not (_param_ok(count, 0) and count >= 1):
         raise ConfigError(f"sample count must be >= 1, got {count!r}")
@@ -138,11 +155,8 @@ def _tolerances(cfg):
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("'tolerances' must be an object")
+    _check_keys(tols, ("default", *SUITES), "tolerance")
     for key, val in tols.items():
-        if key != "default" and key not in SUITES:
-            raise ConfigError(f"unknown tolerance key {key!r}; known: "
-                              f"'default' and {sorted(SUITES)}")
-        # json parses Infinity, which would pass every identity
         if not (_param_ok(val, 0.0) and val > 0):
             raise ConfigError(
                 f"tolerance {key!r} must be a positive finite number")

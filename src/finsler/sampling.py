@@ -26,7 +26,7 @@ _RADIUS = 0.4  # of the ball the base points are drawn from
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    count: int = 30
+    count: int = 20
     seed: int = 0
     radius: Optional[float] = None  # None: _RADIUS
 

@@ -1,9 +1,10 @@
 """Independent numerical oracles used by the test suite.
 
 Most share no code with the jet engine: Christoffel symbols and the
-Riemann tensor are obtained by plain central differences of the metric
-component matrix a_ij(x) of a Riemannian metric, and the flag curvature
-of a projectively flat metric by central differences of L in x alone.
+Riemann tensor are central differences of the component matrix a_ij(x)
+of a Riemannian metric, which ``riemannian_a`` reads off float calls of
+L by polarization (Riemannian metrics only), and the flag curvature of
+a projectively flat metric is central differences of L in x alone.
 ``H_spray`` reads the spray of a chart but none of the connection or
 curvature built from it, and ``projected_norms`` reads the two forms
 that Prop 2.1 compares.
@@ -14,18 +15,18 @@ import numpy as np
 from finsler.jets import d_x, d_y
 
 
+def _central(f, x, h):
+    """[d f / dx^l for each l], by central differences."""
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h)
+                     for e in np.eye(len(x))])
+
+
 def christoffel_fd(a_fn, x, h=1e-5):
     """Gamma^i_jk of a Riemannian metric given its component matrix
     a_fn(x) -> (n, n), by central differences."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
     ainv = np.linalg.inv(a_fn(x))
-    da = np.empty((n, n, n))  # da[l, j, k] = d a_jk / dx^l
-    for l in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[l] += h
-        xm[l] -= h
-        da[l] = (a_fn(xp) - a_fn(xm)) / (2.0 * h)
+    da = _central(a_fn, x, h)  # da[l, j, k] = d a_jk / dx^l
     return (0.5 * np.einsum("il,jlk->ijk", ainv, da)
             + 0.5 * np.einsum("il,klj->ijk", ainv, da)
             - 0.5 * np.einsum("il,ljk->ijk", ainv, da))
@@ -34,15 +35,7 @@ def christoffel_fd(a_fn, x, h=1e-5):
 def riemann_fd(a_fn, x, h=1e-4):
     """R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma Gamma terms,
     by central differences of the Christoffel oracle."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    dG = np.empty((n, n, n, n))  # dG[m, i, j, l] = d Gamma^i_jl / dx^m
-    for m in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[m] += h
-        xm[m] -= h
-        dG[m] = (christoffel_fd(a_fn, xp) - christoffel_fd(a_fn, xm)) \
-            / (2.0 * h)
+    dG = _central(lambda z: christoffel_fd(a_fn, z), x, h)  # [m] = d_m Gamma
     G = christoffel_fd(a_fn, x)
     return (np.einsum("kilj->ijkl", dG) - np.einsum("likj->ijkl", dG)
             + np.einsum("ikm,mlj->ijkl", G, G)
@@ -57,13 +50,19 @@ def deviation_fd(a_fn, x, y, h=1e-4):
     return np.einsum("ijkl,j,l->ik", R, y, y)
 
 
-def space_form_a(kappa):
-    """Component matrix of the constant-curvature conformal model."""
+def riemannian_a(metric):
+    """x -> a(x) of a Riemannian L by polarization of float calls of L:
+    a_ii = L(e_i)^2 and a_ij = (L(e_i + e_j)^2 - L(e_i - e_j)^2) / 4.
+    Raises where L^2 != y.a(x).y at one generic y."""
+    e, y = np.eye(metric.n), np.cos(np.arange(1.0, metric.n + 1))
 
     def a_fn(x):
-        x = np.asarray(x, dtype=float)
-        conf = 1.0 + 0.25 * kappa * np.dot(x, x)
-        return np.eye(len(x)) / conf ** 2
+        q = lambda v: float(metric.evaluate(x.tolist(), v.tolist())) ** 2
+        a = np.array([[q(u) if i == j else (q(u + v) - q(u - v)) / 4.0
+                       for j, v in enumerate(e)] for i, u in enumerate(e)])
+        if not abs(q(y) - y @ a @ y) <= 1e-12 * q(y):  # NaN fails too
+            raise ValueError(f"{metric.name}: L^2 not quadratic at x={x}")
+        return a
 
     return a_fn
 

@@ -19,7 +19,7 @@ from finsler.fdpipe import FDPipeline
 from finsler.sampling import SamplingSpec, sample_points
 from finsler.scalarclass import classify
 from finsler.suites import isotropy, run_suites, suite_prop21
-from oracles import deviation_fd, projected_norms, space_form_a
+from oracles import deviation_fd, projected_norms, riemannian_a
 
 N = 3
 
@@ -83,11 +83,10 @@ def test_03_known_curvature_oracles(capsys):
     for kappa in (-1.0, 0.0, 1.0):
         metric = (catalog.euclidean(N) if kappa == 0.0
                   else catalog.riemannian_space_form(N, kappa))
+        a_fn = riemannian_a(metric)
         for p in sample_points(metric, SamplingSpec(count=10, seed=103)):
             jet_errs.append(abs(chart(metric, p, "k").k.value() - kappa))
             # engine-independent witness via the FD Riemann oracle
-            a_fn = (space_form_a(kappa) if kappa != 0.0
-                    else lambda x: np.eye(N))
             H = deviation_fd(a_fn, p.x, p.y)
             L2 = float(p.y @ a_fn(p.x) @ p.y)
             oracle_errs.append(abs(np.trace(H) / (2.0 * L2) - kappa))

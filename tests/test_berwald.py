@@ -10,7 +10,7 @@ from finsler.engine import ChartJets, chart
 from finsler.jets import d_y, jet_einsum
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
-from oracles import christoffel_fd, space_form_a
+from oracles import christoffel_fd, riemannian_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 
@@ -37,13 +37,13 @@ class TestSpray:
     @pytest.mark.parametrize("kappa", [1.0, -1.0])
     def test_riemannian_christoffel_oracle(self, kappa):
         metric = catalog.riemannian_space_form(3, kappa)
-        gamma = christoffel_fd(space_form_a(kappa), P.x)
+        gamma = christoffel_fd(riemannian_a(metric), P.x)
         expected = 0.5 * np.einsum("ijk,j,k->i", gamma, P.y, P.y)
         np.testing.assert_allclose(spray(metric, P), expected, atol=1e-9)
 
     def test_perturbed_christoffel_oracle(self):
         metric = catalog.perturbed_riemannian(3, seed=0)
-        gamma = christoffel_fd(metric.a_matrix, P.x)
+        gamma = christoffel_fd(riemannian_a(metric), P.x)
         expected = 0.5 * np.einsum("ijk,j,k->i", gamma, P.y, P.y)
         np.testing.assert_allclose(spray(metric, P), expected, atol=1e-8)
 
@@ -75,7 +75,7 @@ class TestConnection:
 
     def test_riemannian_coefficients_are_christoffel(self):
         metric = catalog.perturbed_riemannian(3, seed=1)
-        gamma = christoffel_fd(metric.a_matrix, P.x)
+        gamma = christoffel_fd(riemannian_a(metric), P.x)
         Gamma = chart(metric, P, "Gamma").Gamma.value()
         np.testing.assert_allclose(Gamma, gamma, atol=1e-8)
         # and they are independent of y for a Riemannian metric

@@ -1,4 +1,5 @@
-"""Built-in reference metrics: domains, homogeneity, and oracle hooks."""
+"""Built-in reference metrics: domains, homogeneity, and the Riemannian
+component matrix read off L."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from finsler import catalog
 from finsler.errors import ConfigError, DomainError
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
+from oracles import riemannian_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 
@@ -72,18 +74,27 @@ class TestHomogeneity:
 
 
 class TestPerturbed:
-    def test_a_matrix_hook(self):
+    def test_polarized_components(self):
+        """a(x) read off L is symmetric positive definite, and L^2 is its
+        quadratic form."""
         metric = catalog.perturbed_riemannian(3, seed=0)
-        a = metric.a_matrix(P.x)
+        a = riemannian_a(metric)(P.x)
         np.testing.assert_allclose(a, a.T, atol=1e-14)
         assert np.linalg.eigvalsh(a)[0] > 0
-        # L^2 agrees with y.a(x).y
         L = metric.L(P)
         assert L * L == pytest.approx(float(P.y @ a @ P.y), rel=1e-12)
 
     def test_seed_determinism(self):
-        a1 = catalog.perturbed_riemannian(3, seed=4).a_matrix(P.x)
-        a2 = catalog.perturbed_riemannian(3, seed=4).a_matrix(P.x)
-        a3 = catalog.perturbed_riemannian(3, seed=5).a_matrix(P.x)
-        np.testing.assert_array_equal(a1, a2)
-        assert np.abs(a1 - a3).max() > 1e-4
+        L1 = catalog.perturbed_riemannian(3, seed=4).L(P)
+        L2 = catalog.perturbed_riemannian(3, seed=4).L(P)
+        L3 = catalog.perturbed_riemannian(3, seed=5).L(P)
+        assert L1 == L2
+        assert abs(L1 - L3) > 1e-4
+
+    def test_funk_is_not_riemannian(self):
+        """The polarization oracle refuses an L^2 that is not quadratic in
+        y: funk is Riemannian only at x = 0."""
+        a_fn = riemannian_a(catalog.funk(3))
+        np.testing.assert_allclose(a_fn(np.zeros(3)), np.eye(3), atol=1e-15)
+        with pytest.raises(ValueError, match="not quadratic"):
+            a_fn(P.x)

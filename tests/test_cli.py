@@ -376,6 +376,12 @@ class TestConfigValidation:
         {"output": ["r.jsonl"]},
         {"output": True},
         {"output": 1},
+        {"suite": ["lemma21"]},
+        {"metric": {"catalog": "funk", "dimension": 3, "parms": {"x": 1}}},
+        {"sampling": {"cout": 2, "seed": 0}},
+        {"note": float("nan")},
+        {"metric": {"catalog": "funk", "dimension": 3,
+                    "constants": {"b": float("nan")}}},
     ], ids=["seed-string", "seed-float", "seed-negative", "count-bool",
             "radius-bool", "radius-infinity", "radius-1e308",
             "radius-square-overflow", "radius-huge-int", "tolerance-bool",
@@ -386,7 +392,10 @@ class TestConfigValidation:
             "kappa-huge-int", "suite-list", "catalog-list", "catalog-object",
             "dsl-number", "constant-string", "constant-null",
             "constant-huge-int", "constant-bool", "constants-string",
-            "name-number", "output-list", "output-bool", "output-int"])
+            "name-number", "output-list", "output-bool", "output-int",
+            "config-key-misspelled", "metric-key-misspelled",
+            "sampling-key-misspelled", "nan-unknown-key",
+            "nan-unread-constant"])
     def test_bad_value_config_error(self, tmp_path, capsys, change):
         cfg = {"metric": {"catalog": "funk", "dimension": 3},
                "sampling": {"count": 1, "seed": 0}}
@@ -394,6 +403,41 @@ class TestConfigValidation:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["verify", "--config", path]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_default_sample_count(self):
+        """A config without a count takes SamplingSpec's default, 20."""
+        args = cli.make_parser().parse_args(["verify", "--config", "c"])
+        assert cli._sampling({}, args) == finsler.SamplingSpec()
+        assert finsler.SamplingSpec().count == 20
+
+    @pytest.mark.parametrize("change, key", [
+        ({"suite": ["lemma21"]}, "suite"),
+        ({"metric": {"catalog": "funk", "parms": {"x": 1}}}, "parms"),
+        ({"sampling": {"cout": 2}}, "cout"),
+    ], ids=["config", "metric", "sampling"])
+    def test_unknown_key_named(self, tmp_path, capsys, change, key):
+        """A key that nothing reads is a config error naming it and the
+        keys its object takes, not silently ignored."""
+        cfg = {"metric": {"catalog": "funk"}, "sampling": {"count": 1}}
+        cfg.update(change)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["verify", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown ")
+        assert f"key {key!r}; known: [" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_json_constants(self, tmp_path, capsys, value):
+        """json.load reads NaN and Infinity, which JSON does not allow: the
+        config is malformed even where a flag overrides the value."""
+        path = write_config(tmp_path, "c.json", {
+            "metric": {"catalog": "funk"}, "sampling": {"count": value}})
+        assert main(["verify", "--config", path, "--samples", "1"]) == 2
+        token = json.dumps(value)
+        assert capsys.readouterr().err == (
+            f"config error: malformed config {path}: {token} is not a JSON "
+            "value\n")
 
     @pytest.mark.parametrize("via", ["--out", "output"])
     def test_unwritable_report_config_error(self, tmp_path, capsys, via):

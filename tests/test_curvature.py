@@ -8,11 +8,12 @@ import pytest
 from finsler import catalog
 from finsler.dsl import metric_from_dsl
 from finsler.engine import ChartJets, chart
+from finsler.fdpipe import FDPipeline
 from finsler.metric import SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
 from finsler.suites import suite_bianchi
-from oracles import (H_spray, deviation_fd, k_pflat, riemann_fd,
-                     space_form_a)
+from oracles import (H_spray, christoffel_fd, deviation_fd, k_pflat,
+                     riemann_fd, riemannian_a)
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 P4 = SamplePoint([0.1, -0.2, 0.15, 0.05], [0.7, -0.3, 1.1, 0.4])
@@ -21,6 +22,11 @@ P4 = SamplePoint([0.1, -0.2, 0.15, 0.05], [0.7, -0.3, 1.1, 0.4])
 DSL_RANDERS = metric_from_dsl(
     "sqrt(norm2(y)) + b * dot(x, y) / sqrt(1 + b^2 * norm2(x))", 3,
     name="randers-dsl", constants={"b": 0.3})
+
+# a Riemannian L in the DSL at n = 3, and its n = 4 form
+RIEMANNIAN_DSL = ("sqrt((1 + x1^2) * y1^2 + (1 + x2^2) * y2^2"
+                  " + (1 + x3^2) * y3^2 + 0.5 * x1 * y1 * y2")
+RIEMANNIAN_DSL_4 = " + (1 + x4^2) * y4^2 + 0.3 * x3 * y3 * y4"
 
 
 def torsion(metric, p):
@@ -75,7 +81,7 @@ class TestDeviation:
     def test_riemann_oracle_space_form(self, kappa):
         metric = catalog.riemannian_space_form(3, kappa)
         H = deviation(metric, P)
-        oracle = deviation_fd(space_form_a(kappa), P.x, P.y)
+        oracle = deviation_fd(riemannian_a(metric), P.x, P.y)
         np.testing.assert_allclose(H, oracle, atol=1e-6)
         # closed form: H = kappa L^2 phi
         cj = ChartJets(metric, P, 2, 4)
@@ -85,8 +91,31 @@ class TestDeviation:
     def test_riemann_oracle_perturbed(self):
         metric = catalog.perturbed_riemannian(3, seed=0)
         H = deviation(metric, P)
-        oracle = deviation_fd(metric.a_matrix, P.x, P.y)
+        oracle = deviation_fd(riemannian_a(metric), P.x, P.y)
         assert np.abs(H - oracle).max() < 1e-5 * max(1, np.abs(H).max())
+
+    @pytest.mark.parametrize("metric, count", [
+        (metric_from_dsl(RIEMANNIAN_DSL + ")", 3, name="riemannian-dsl"), 3),
+        (metric_from_dsl(RIEMANNIAN_DSL + RIEMANNIAN_DSL_4 + ")", 4,
+                         name="riemannian-dsl"), 1),
+        (catalog.perturbed_riemannian(4), 1),
+        (catalog.riemannian_space_form(4, -1.0), 1),
+    ], ids=["dsl-n3", "dsl-n4", "perturbed_riemannian-n4", "space_form-1-n4"])
+    def test_riemannian_oracles(self, metric, count):
+        """Jet Gamma and H against the FD oracles, which read a(x) off L,
+        on a DSL metric and at n = 4; at n = 3 the FD backend's k against
+        the oracle's as well."""
+        a_fn = riemannian_a(metric)
+        for p in sample_points(metric, SamplingSpec(count=count, seed=17)):
+            cj = chart(metric, p, "Gamma", "H")
+            np.testing.assert_allclose(cj.Gamma.value(),
+                                       christoffel_fd(a_fn, p.x), atol=1e-8)
+            H, oracle = cj.H.value(), deviation_fd(a_fn, p.x, p.y)
+            assert np.abs(H - oracle).max() < 1e-5 * max(1, np.abs(H).max())
+            if metric.n == 3:
+                k = np.trace(oracle) / (2.0 * metric.L(p) ** 2)
+                assert FDPipeline(metric).tensors(p)["k"] == pytest.approx(
+                    k, abs=1e-5)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_randers_pflat_closed_form(self, n):
@@ -161,8 +190,8 @@ class TestFullCurvature:
     def test_lowered_matches_riemann_oracle(self, kappa):
         metric = catalog.riemannian_space_form(3, kappa)
         Rlow = ChartJets(metric, P, 2, 5).R_low
-        riem = riemann_fd(space_form_a(kappa), P.x)
-        a0 = space_form_a(kappa)(P.x)
+        a_fn = riemannian_a(metric)
+        riem, a0 = riemann_fd(a_fn, P.x), a_fn(P.x)
         lowered = np.einsum("wi,ijkl->jklw", a0, riem)
         oracle = lowered.transpose(2, 1, 0, 3)  # slot arrangement
         np.testing.assert_allclose(Rlow, oracle, atol=1e-6)

@@ -16,7 +16,7 @@ from finsler.sampling import SamplingSpec, sample_points
 from finsler.scalarclass import classify
 from finsler.suites import (SUITES, UNIVERSAL_SUITES, isotropy, run_suites,
                             suite_lemma22, suite_lemma23, suite_prop21)
-from oracles import deviation_fd, projected_norms, space_form_a
+from oracles import deviation_fd, projected_norms, riemannian_a
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 
@@ -63,9 +63,9 @@ class TestExtraction:
         k = extract_k(metric, P)
         assert k == pytest.approx(kappa, abs=1e-10)
         # cross-check the trace formula against the Riemann oracle
-        H = deviation_fd(space_form_a(kappa), P.x, P.y)
-        a0 = space_form_a(kappa)(P.x)
-        L2 = float(P.y @ a0 @ P.y)
+        a_fn = riemannian_a(metric)
+        H = deviation_fd(a_fn, P.x, P.y)
+        L2 = float(P.y @ a_fn(P.x) @ P.y)
         assert np.trace(H) / (2.0 * L2) == pytest.approx(k, abs=1e-6)
 
     def test_funk_value(self):
