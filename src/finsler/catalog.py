@@ -119,25 +119,19 @@ class CatalogEntry:
     build: object  # (n, **params) -> FinslerMetric
     expected_verdict: str
     expected_k: Optional[float]  # None: nonconstant / undefined
-    note: str
 
 
 CATALOG = {
     "euclidean": CatalogEntry(
-        "euclidean", euclidean, "constant", 0.0,
-        "flat Minkowski-norm metric, all curvature blocks vanish"),
+        "euclidean", euclidean, "constant", 0.0),
     "riemannian_space_form": CatalogEntry(
-        "riemannian_space_form", riemannian_space_form, "constant", None,
-        "conformal model, constant sectional curvature kappa"),
+        "riemannian_space_form", riemannian_space_form, "constant", None),
     "funk": CatalogEntry(
-        "funk", funk, "constant", -0.25,
-        "classical Funk metric on the unit ball, flag curvature -1/4"),
+        "funk", funk, "constant", -0.25),
     "randers_pflat": CatalogEntry(
-        "randers_pflat", randers_pflat, "scalar", None,
-        "projectively flat Randers metric, scalar non-constant curvature"),
+        "randers_pflat", randers_pflat, "scalar", None),
     "perturbed_riemannian": CatalogEntry(
-        "perturbed_riemannian", perturbed_riemannian, "generic", None,
-        "seeded trigonometric perturbation of the flat metric"),
+        "perturbed_riemannian", perturbed_riemannian, "generic", None),
 }
 
 

@@ -42,11 +42,9 @@ import numpy as np
 from . import __version__
 from .catalog import _param_ok, build_catalog_metric
 from .dsl import metric_from_dsl
-from .engine import chart
 from .errors import ConfigError, DslError, FinslerError
-from .fdpipe import FDPipeline
 from .sampling import SamplingSpec, sample_points
-from .scalarclass import check_dimension, classify
+from .scalarclass import BACKENDS, check_dimension, classify, records
 from .suites import SUITES, run_suites
 
 EXIT_PASS = 0
@@ -55,9 +53,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 DEFAULT_TOL = 1e-6
-
-# the fields of a jet-backend ``tensors`` record; they set its chart orders
-JET_TENSORS = ("L", "g", "G", "N", "Gamma", "Rhat", "H", "k", "C", "B", "A")
 
 
 def _not_json(token):  # json.load reads NaN and Infinity; JSON has neither
@@ -146,8 +141,9 @@ def _sampling(cfg, args):
 def _backend(cfg, args):
     b = args.backend if args.backend is not None else cfg.get("backend",
                                                               "jet")
-    if b not in ("jet", "fd"):
-        raise ConfigError(f"backend must be 'jet' or 'fd', got {b!r}")
+    if b not in BACKENDS:
+        raise ConfigError(f"backend must be {' or '.join(map(repr, BACKENDS))}"
+                          f", got {b!r}")
     return b
 
 
@@ -200,10 +196,6 @@ def _header(command, cfg, metric, spec, backend):
     }
 
 
-def _tolist(v):
-    return v.tolist() if isinstance(v, np.ndarray) else v
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -213,23 +205,16 @@ def cmd_tensors(cfg, args):
     spec = _sampling(cfg, args)
     backend = _backend(cfg, args)
     with _report_stream(cfg, args) as stream:
-        fd = FDPipeline(metric)
-        records = []
-        for idx, p in enumerate(sample_points(metric, spec)):
-            if backend == "jet":
-                cj = chart(metric, p, *JET_TENSORS)
-                values = {name: getattr(cj, name).value()
-                          for name in JET_TENSORS}
-            else:
-                values = fd.tensors(p)
-            record = {"sample": idx, "x": p.x.tolist(), "y": p.y.tolist()}
-            record.update({name: _tolist(v) for name, v in values.items()})
-            records.append(record)
+        points = sample_points(metric, spec)
+        rows = [dict({k: np.asarray(v).tolist() for k, v in rec.items()},
+                     sample=idx, x=p.x.tolist(), y=p.y.tolist())
+                for idx, (p, rec) in enumerate(
+                    zip(points, records(metric, points, backend)))]
         # written only once every point has succeeded, as verify and
         # classify do: a runtime error leaves the report empty
         _emit(stream, _header("tensors", cfg, metric, spec, backend))
-        for record in records:
-            _emit(stream, record)
+        for row in rows:
+            _emit(stream, row)
     return EXIT_PASS
 
 
@@ -311,7 +296,7 @@ def make_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--backend", choices=("jet", "fd"), default=None)
+        p.add_argument("--backend", choices=BACKENDS, default=None)
         p.set_defaults(func=fn)
     return parser
 

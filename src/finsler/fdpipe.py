@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .metric import FinslerMetric, SamplePoint, check_g, check_L
 
 
@@ -165,13 +165,9 @@ class FDPipeline:
 
     def _L(self, x, y):
         # one call of L on a batch inside the domain; a constant L is 0-d
-        if self.metric.domain is not None:
-            inside = np.asarray(self.metric.domain(x))
-            if inside.shape != x.shape[:-1]:
-                raise ConfigError(f"{self.metric.name}: domain of x of shape "
-                                  f"{x.shape} has shape {inside.shape}")
-            if not inside.all():
-                raise _Outside(x[~inside][0], self.metric.domain_desc)
+        inside = self.metric.inside(x)
+        if not inside.all():
+            raise _Outside(x[~inside][0], self.metric.domain_desc)
         v = self.metric.evaluate(list(_last_first(x)), list(_last_first(y)))
         return v if np.ndim(v) else np.broadcast_to(v, x.shape[:-1])
 

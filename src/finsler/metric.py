@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .errors import DegenerateMetric, DomainError, HomogeneityError
+from .errors import (ConfigError, DegenerateMetric, DomainError,
+                     HomogeneityError)
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,17 @@ class FinslerMetric:
     domain: Optional[Callable] = None  # x (..., n) -> bool (...); None: R^n
     domain_desc: str = "all of R^n"
 
+    def inside(self, x):
+        """The domain at each x (..., n) as bools (...), their shape checked."""
+        inside = (np.asarray(self.domain(x)) if self.domain is not None
+                  else np.ones(x.shape[:-1], dtype=bool))
+        if inside.shape != x.shape[:-1]:
+            raise ConfigError(f"{self.name}: domain of x of shape {x.shape} "
+                              f"has shape {inside.shape}")
+        return inside
+
     def in_domain(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(self.domain(x)) if self.domain is not None else True
+        return bool(self.inside(np.asarray(x, dtype=float)))
 
     def check_point(self, p: SamplePoint):
         if p.n != self.n:
@@ -88,8 +97,11 @@ class FinslerMetric:
 
 
 def L_fault(L: float) -> Optional[str]:
-    """Why the value L is not a positive number, or None if it is one."""
-    return "L is NaN" if np.isnan(L) else "L <= 0" if L <= 0.0 else None
+    """Why the value L is not a positive number whose square is a positive
+    finite float (g is the y-Hessian of L^2 / 2), or None if it is one."""
+    square = float(L) * float(L)  # floats under- and overflow silently
+    return ("L is NaN" if np.isnan(L) else "L <= 0" if L <= 0.0
+            else None if 0.0 < square < np.inf else "L^2 out of float range")
 
 
 def check_L(L, p: SamplePoint) -> float:

@@ -1,5 +1,5 @@
 """Metric classification from the scalar curvature k and its vertical
-derivative ladder C, B, A (read from :class:`~finsler.engine.ChartJets`).
+derivative ladder C, B, A (read from one per-point record, :func:`records`).
 
 The classification verdict is sample-based: "scalar" means the deviation
 tensor was isotropic at every sampled point (dimension must be >= 3),
@@ -23,8 +23,12 @@ from .metric import FinslerMetric
 from .sampling import SamplingSpec, sample_points
 from . import suites
 
+BACKENDS = ("jet", "fd")
 JET_TOL = 1e-7
 FD_TOL = 1e-3
+
+# the fields of a jet-backend record; they set its chart orders
+JET_FIELDS = ("L", "g", "G", "N", "Gamma", "Rhat", "H", "k", "C", "B", "A")
 
 
 @dataclass(frozen=True)
@@ -48,38 +52,44 @@ def check_dimension(n):
             f"classification requires dimension n >= 3, got {n}")
 
 
+def records(metric: FinslerMetric, points, backend: str):
+    """Yield the record of values at each point, a dict by name: on the FD
+    backend :meth:`FDPipeline.tensors`, on the jet backend the values of
+    JET_FIELDS, read from one chart at the orders they need."""
+    for p in points:
+        if backend == "fd":
+            yield FDPipeline(metric).tensors(p)
+        else:
+            cj = chart(metric, p, *JET_FIELDS)
+            yield {name: getattr(cj, name).value() for name in JET_FIELDS}
+
+
 def classify(metric: FinslerMetric, spec: SamplingSpec = None,
              backend: str = "jet") -> ClassificationReport:
     """Sample the metric and decide generic / scalar / constant."""
     check_dimension(metric.n)
-    if backend not in ("jet", "fd"):
+    if backend not in BACKENDS:
         raise ConfigError(f"unknown backend {backend!r}")
     spec = spec or SamplingSpec()
     tol = JET_TOL if backend == "jet" else FD_TOL
     points = sample_points(metric, spec)
 
     iso, ks = [], []
-    norms = {"C": [], "B": [], "A": []}  # the FD backend fills only C
-    fd = FDPipeline(metric)
-    for p in points:
-        if backend == "jet":
-            cj = chart(metric, p, "A")
-            H, k, L, phi = (a.value() for a in (cj.H, cj.k, cj.L, cj.phi))
-            for name, norm in norms.items():
-                norm.append(suites._mx(getattr(cj, name).value()))
-        else:
-            T = fd.tensors(p)
-            H, k, L = T["H"], T["k"], T["L"]
-            phi = np.eye(metric.n) - np.outer(p.y, T["g"] @ p.y / L) / L
-            norms["C"].append(suites._mx(T["C"]))
+    norms = {}  # max |C|, |B|, |A| at each point, of those recorded
+    for p, T in zip(points, records(metric, points, backend)):
+        H, k, L = T["H"], T["k"], T["L"]
+        phi = np.eye(metric.n) - np.outer(p.y, T["g"] @ p.y / L) / L
         iso.append(suites.isotropy(H, k, L, phi))
         ks.append(k)
+        for name in ("C", "B", "A"):
+            if name in T:
+                norms.setdefault(name, []).append(suites._mx(T[name]))
 
     max_iso = max(iso)
     k_mean = float(np.mean(ks))
     k_std = float(np.std(ks))
     std_tol = (1e-6 if backend == "jet" else 1e-2) * (1.0 + abs(k_mean))
-    maxes = {name: max(norm) for name, norm in norms.items() if norm}
+    maxes = {name: max(norm) for name, norm in norms.items()}
 
     is_scalar = max_iso < tol
     c_vanishes = maxes["C"] < tol

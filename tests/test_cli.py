@@ -4,6 +4,7 @@ and byte-level determinism."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import finsler
@@ -96,6 +97,29 @@ class TestTensors:
         assert capsys.readouterr().err == (
             "error: non-finite result (in "
             "'sqrt(norm2(y)) * 1e+200 * 1e+200')\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    @pytest.mark.parametrize("command,backend", [
+        ("verify", "jet"), ("classify", "jet"), ("classify", "fd"),
+        ("tensors", "jet"), ("tensors", "fd")])
+    def test_square_of_L_out_of_range_exit3(self, tmp_path, capsys, command,
+                                            backend, c):
+        """An L that is a finite float but whose square is not a positive
+        finite one (E = L^2 / 2 overflows for c = 1e200 and is 0 for
+        c = 1e-200): one typed error line naming L^2, exit 3, and no
+        RuntimeWarning, on every command and backend."""
+        cfg = write_config(tmp_path, "c.json", {
+            "metric": {"dsl": "sqrt(norm2(y)) * c", "dimension": 3,
+                       "constants": {"c": c}},
+            "sampling": {"count": 2, "seed": 0},
+        })
+        assert main([command, "--config", cfg, "--backend", backend]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not draw 2 valid sample points")
+        assert err.endswith("rejected draws by reason: L^2 out of float "
+                            "range: 300\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("metric,sampling,reason", [
         ({"dsl": "-sqrt(norm2(y))", "dimension": 3}, {"count": 1},
@@ -252,6 +276,36 @@ class TestClassify:
         assert main(["classify", "--config", cfg]) == 0
         assert "euclidean: constant (k=0.0000±0.0000)" in \
             capsys.readouterr().out
+
+
+class TestRecords:
+    @pytest.mark.parametrize("backend", ["jet", "fd"])
+    @pytest.mark.parametrize("catalog", [
+        "funk", "randers_pflat", "perturbed_riemannian"])
+    def test_classify_reduces_the_tensors_records(self, tmp_path, catalog,
+                                                  backend):
+        """classify reads each per-point value from the records tensors
+        writes: its k samples are their (x, y, k) bit for bit, and each
+        max norm is the max of |C|, |B| or |A| over them."""
+        cfg = write_config(tmp_path, "c.json", {
+            "metric": {"catalog": catalog, "dimension": 3},
+            "sampling": {"count": 2, "seed": 0}, "backend": backend,
+        })
+        tensors, report = str(tmp_path / "t.jsonl"), str(tmp_path / "c.jsonl")
+        assert main(["tensors", "--config", cfg, "--out", tensors]) == 0
+        assert main(["classify", "--config", cfg, "--out", report]) == 0
+        records, report = read_jsonl(tensors)[1:], read_jsonl(report)[1]
+        assert report["verdict"] == finsler.CATALOG[catalog].expected_verdict
+        assert report["k_samples"] == [
+            {"x": r["x"], "y": r["y"], "k": r["k"]} for r in records]
+        names = ("C", "B", "A") if backend == "jet" else ("C",)
+        norms = {key: value["value"]
+                 for key, value in report["residuals"].items()
+                 if key.endswith("_norm")}
+        assert norms == {
+            f"max_{name}_norm": max(float(np.abs(r[name]).max())
+                                    for r in records)
+            for name in names}
 
 
 class TestParser:

@@ -239,6 +239,23 @@ class TestFDReach:
                                               "shape"):
             FDPipeline(metric).tensors(P)
 
+    @pytest.mark.parametrize("path", ["sample_points", "jet", "fd"])
+    def test_elementwise_domain(self, path):
+        """A domain whose result is elementwise, not one bool per x, ends
+        in a ConfigError naming the metric on every path, not in numpy's
+        ambiguous truth value."""
+        metric = FinslerMetric(n=3, evaluate=catalog.euclidean(3).evaluate,
+                               name="elementwise",
+                               domain=lambda x: np.abs(x) < 1)
+        spec = SamplingSpec(count=2, seed=0)
+        run = {"sample_points": lambda: sample_points(metric, spec),
+               "jet": lambda: classify(metric, spec, backend="jet"),
+               "fd": lambda: classify(metric, spec, backend="fd")}[path]
+        with pytest.raises(ConfigError, match=r"^elementwise: domain of x "
+                                              r"of shape \(3,\) has shape "
+                                              r"\(3,\)$"):
+            run()
+
     def test_domain_that_cannot_take_a_batch(self):
         """A domain that raises on a batch, such as a ball written with
         float(x . x), raises its own error on the first batch, before L
