@@ -30,7 +30,8 @@ import numpy as np
 
 from .jets import (Jet, d_x, d_y, get_space, jet_einsum, jet_matrix_inverse,
                    jstack, restrict, shared)
-from .metric import FinslerMetric, SamplePoint, check_g, check_L
+from .metric import (FinslerMetric, SamplePoint, check_finite, check_g,
+                     check_L)
 
 _LETTERS = "abcdefgh"
 
@@ -84,7 +85,8 @@ class ChartJets:
     # ---- structural frame --------------------------------------------
     @cached_property
     def E(self):
-        return 0.5 * self.L * self.L
+        with np.errstate(over="ignore", invalid="ignore"):  # g checks E
+            return 0.5 * self.L * self.L
 
     @cached_property
     def ell(self):
@@ -92,7 +94,11 @@ class ChartJets:
 
     @cached_property
     def g(self):
-        return d_y(d_y(self.E))
+        with np.errstate(over="ignore"):
+            g = d_y(d_y(self.E))
+        check_finite("E = L^2/2 or g", np.append(self.E.c, g.c), self.p.x,
+                     self.p.y)
+        return g
 
     @cached_property
     def g_inv(self):

@@ -5,18 +5,20 @@ Richardson extrapolation level).
 
 This backend shares no differentiation code with the jet engine, which
 is what makes it a meaningful cross-check oracle; it shares only the
-checks of L and g (:mod:`finsler.metric`).  It deliberately stops at the
+checks of L, g and finiteness (:mod:`finsler.metric`).  It stops at the
 first vertical derivative of the scalar curvature (the C form): deeper
 members of the derivative ladder amplify FD noise beyond any useful
 tolerance and are only available on the jet backend.
 
-Every derivative is :func:`_d1` or :func:`_d2` of a float- or
-array-valued f(x, y) of a batch of points (..., n), with the batch axes
-first and the derivative axes after f's own.  A stencil evaluates f once
-on all its points, as one more batch axis, and a Richardson pair puts its
-two steps on one batch axis more, so nested stencils call L once per
-innermost Richardson pair.  Each stencil writes its shifted points once,
-component-major and contiguous; unshifted components stay exact.
+Every derivative is :func:`_d1`, :func:`_d2` or :func:`_d2_along_y` (the
+spray's mixed term, contracted with y) of a float- or array-valued f(x, y)
+of a batch of points (..., n), batch axes first, derivative axes after f's
+own; the x-y pairs that R-hat cancels, and k along y, are not evaluated.
+A stencil evaluates f once on all its points, as one more batch axis, and
+a Richardson pair puts its two steps on one batch axis more, so nested
+stencils call L once per innermost Richardson pair.  Each stencil writes
+its shifted points once, component-major and contiguous; unshifted
+components stay exact.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import functools
 import numpy as np
 
 from .errors import DomainError
-from .metric import FinslerMetric, SamplePoint, check_g, check_L
+from .metric import (FinslerMetric, SamplePoint, check_finite, check_g,
+                     check_L)
 
 
 def _richardson(stencil, f, x, y, *vars, h):
@@ -57,13 +60,14 @@ def _last_first(a):
     return a.transpose(-1, *range(a.ndim - 1))
 
 
-def _at(f, x, y, h, S):
-    """f at the stencil points (x, y) + h S[r], one row r of the sign
-    table S (m, 2n) each, in one call, as [..., r] after f's own axes.  A
-    half of (x, y) that S shifts is the (..., m, n) view of a C-ordered
-    block (n, ..., m); a half it does not shift is a broadcast view."""
-    n, m, h = x.shape[-1], len(S), _trail(h, 2)
-    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], h.shape[:-2])
+def _at(f, x, y, h, Sx, Sy):
+    """f at the stencil points (x + h Sx[r], y + h Sy[r]), one row r of Sx
+    and Sy (..., m, n) each (signs, or directions per point), in one call,
+    as [..., r] after f's own axes.  A half of (x, y) that its S shifts is
+    the (..., m, n) view of a C-ordered block (n, ..., m); else a broadcast."""
+    n, m, h = x.shape[-1], Sx.shape[-2], _trail(h, 2)
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], h.shape[:-2],
+                               Sx.shape[:-2], Sy.shape[:-2])
 
     def shifted(u, s):
         u = u[..., None, :]
@@ -77,7 +81,7 @@ def _at(f, x, y, h, S):
             np.copyto(pts, u, where=s == 0)
         return pts
 
-    F = np.asarray(f(shifted(x, S[:, :n]), shifted(y, S[:, n:])))
+    F = np.asarray(f(shifted(x, Sx), shifted(y, Sy)))
     r = len(lead)
     return F.transpose(*range(r), *range(r + 1, F.ndim), r)
 
@@ -91,7 +95,7 @@ def _d1(f, x, y, var, h):
     S = np.zeros((2 * n, 2 * n))
     S[q, a + q] = 1.0
     S[n + q, a + q] = -1.0
-    F = _at(f, x, y, h, S)
+    F = _at(f, x, y, h, S[:, :n], S[:, n:])
     h = _trail(h, F.ndim - x.ndim + 1)
     # in C order: matmul and einsum sums follow layout
     return np.ascontiguousarray((F[..., :n] - F[..., n:]) / (2.0 * h))
@@ -101,15 +105,13 @@ _SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 @functools.cache
-def _d2_signs(n, va, vb, diagonal=True):
-    """_d2's sign table, and the (i, j) of its P pairs: the upper triangle
-    for va == vb, else the full grid, row-major, or its off-diagonal pairs
-    for diagonal=False.  Rows: the four sign pairs of each (i, j); for
-    va == vb then +h and -h on the diagonal and the unshifted point."""
+def _d2_signs(n, va, vb):
+    """_d2's sign table, and the (i, j) of its P pairs, row-major: i < j
+    for va == vb, else i != j.  Rows: the four sign pairs of each (i, j);
+    for va == vb then +h and -h on the diagonal and the unshifted point."""
     a, b = (0 if va == "x" else n), (0 if vb == "x" else n)
     sym = va == vb
-    I, J = np.triu_indices(n, 1) if sym else np.indices((n, n)).reshape(2, -1)
-    I, J = (I, J) if diagonal else (I[I != J], J[I != J])
+    I, J = np.nonzero(np.triu(np.ones((n, n)), 1) if sym else 1 - np.eye(n))
     P, r, q = len(I), np.arange(len(I)), np.arange(n)
     S = np.zeros((4 * P + (2 * n + 1 if sym else 0), 2 * n))
     for c, (si, sj) in enumerate(_SIGNS):
@@ -121,22 +123,20 @@ def _d2_signs(n, va, vb, diagonal=True):
     return S, I, J
 
 
-def _d2(f, x, y, va, vb, h, diagonal=True):
+def _d2(f, x, y, va, vb, h):
     """Second partials d2 f / d(va)^i d(vb)^j as [..., i, j]: the
     four-point stencil, or for va == vb the three-point stencil on the
-    diagonal and the upper triangle mirrored.  For diagonal=False
-    (va != vb) the pairs i == j are not evaluated and read 0."""
+    diagonal and the upper triangle mirrored.  For va != vb the pairs
+    i == j, which R-hat cancels, are not evaluated and read 0."""
     n = x.shape[-1]
-    S, I, J = _d2_signs(n, va, vb, diagonal)
+    S, I, J = _d2_signs(n, va, vb)
     P = len(I)
-    F = _at(f, x, y, h, S)
+    F = _at(f, x, y, h, S[:, :n], S[:, n:])
     h = _trail(h, F.ndim - x.ndim + 1)
     val = 0.0
     for c, (si, sj) in enumerate(_SIGNS):
         val = val + si * sj * F[..., c * P:(c + 1) * P]
     val = val / (4.0 * h * h)
-    if P == n * n:
-        return np.ascontiguousarray(val.reshape(F.shape[:-1] + (n, n)))
     out = np.zeros(F.shape[:-1] + (n, n))
     out[..., I, J] = val
     if va == vb:
@@ -144,6 +144,18 @@ def _d2(f, x, y, va, vb, h, diagonal=True):
         fp, fm = F[..., 4 * P:4 * P + n], F[..., 4 * P + n:4 * P + 2 * n]
         out[..., range(n), range(n)] = (fp - 2.0 * F[..., -1:] + fm) / (h * h)
     return out
+
+
+def _d2_along_y(f, x, y, h):
+    """y^k d2f / dx^k dy^j as [..., j]: |y| times the four-point stencil
+    of d2/ds dt f(x + s y/|y|, y + t e_j), so x moves by h as in _d2."""
+    n, r = x.shape[-1], np.linalg.norm(y, axis=-1, keepdims=True)
+    si, sj = np.array(_SIGNS).T[..., None]
+    F = _at(f, x, y, h, np.repeat(si * (y / r)[..., None, :], n, axis=-2),
+            np.kron(sj, np.eye(n)))
+    F = F.reshape(F.shape[:-1] + (4, n))
+    val = F[..., 0, :] - F[..., 1, :] - F[..., 2, :] + F[..., 3, :]
+    return val * _trail(r[..., 0] / (4.0 * h * h), val.ndim - x.ndim + 1)
 
 
 class _Outside(DomainError):
@@ -176,14 +188,16 @@ class FDPipeline:
         return 0.5 * v * v
 
     def spray_at(self, x, y, h):
-        """(g, G): the metric tensor and the spray at step h."""
-        g = _richardson(_d2, self._E, x, y, "y", "y", h=h)
-        check_g(g, x, y)
-        dEx = _richardson(_d1, self._E, x, y, "x", h=h)
-        dExy = _richardson(_d2, self._E, x, y, "x", "y", h=h)
-        # sum_k y^k d2E/dx^k dy^j - dE/dx^j, as a stacked matmul
-        lhs = (y[..., None, :] @ dExy)[..., 0, :] - dEx
-        return g, 0.5 * np.linalg.solve(g, lhs[..., None])[..., 0]
+        """(g, G): the metric tensor and the spray at step h, both finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # g, G checked
+            g = _richardson(_d2, self._E, x, y, "y", "y", h=h)
+            check_g(g, x, y)
+            dEx = _richardson(_d1, self._E, x, y, "x", h=h)
+            # sum_k y^k d2E/dx^k dy^j - dE/dx^j
+            lhs = _richardson(_d2_along_y, self._E, x, y, h=h) - dEx
+            G = 0.5 * np.linalg.solve(g, lhs[..., None])[..., 0]
+        check_finite("spray", G, x, y)
+        return g, G
 
     def _curvature(self, x, y, L):
         """N^i_j = dG^i/dy^j, Rhat^i_jk = delta_k N^i_j - delta_j N^i_k,
@@ -198,8 +212,7 @@ class FDPipeline:
         N = _richardson(_d1, G, x, y, "y", h=h)
         # wider outer step: each spray evaluation carries ~1e-9 noise, and
         # second differences divide it by h^2; Rhat cancels Gxy's c == j
-        Gxy = _richardson(functools.partial(_d2, diagonal=False), G, x, y,
-                          "x", "y", h=20.0 * h)
+        Gxy = _richardson(_d2, G, x, y, "x", "y", h=20.0 * h)
         Gyy = _richardson(_d2, G, x, y, "y", "y", h=20.0 * h)
         # delta_c N^i_j = d2G^i/dx^c dy^j - N^m_c d2G^i/dy^m dy^j
         dN = np.einsum("...icj->...ijc", Gxy) - np.einsum(
@@ -211,14 +224,19 @@ class FDPipeline:
 
     def tensors(self, p: SamplePoint):
         """Dict of FD-backend values at p: L, g, G, N, Rhat, H, k and C =
-        L dk/dy, from one curvature pass over p.y and the 2n directions
-        p.y +- h e_q at which C's plain central difference reads k (no
-        Richardson: each k is itself a deep FD pipeline)."""
+        L dk/dy, from one curvature pass over p.y and the 2(n-1)
+        directions p.y +- h w_a at which C's plain central difference
+        reads k (no Richardson: each k is itself a deep FD pipeline), w an
+        orthonormal basis of y's complement: k is 0-homogeneous in y."""
         L = check_L(self.metric.L(p), p)
         n, h = p.n, 1e-2 * (1.0 + float(np.max(np.abs(p.y))))
-        e = np.concatenate([np.eye(n), -np.eye(n)])
+        # rows 2..n of the Householder reflection that maps y onto e_1's axis
+        v = p.y / np.linalg.norm(p.y)
+        v[0] += np.copysign(1.0, v[0])
+        w = np.eye(n)[1:] - 2.0 * np.outer(v[1:], v) / (v @ v)
+        e = np.concatenate([w, -w])
         yq = np.where(e != 0, p.y + h * e, p.y)  # -0.0 stays where unshifted
-        x = np.broadcast_to(p.x, (2 * n + 1, n))
+        x = np.broadcast_to(p.x, (2 * n - 1, n))
         try:
             g, G = self.spray_at(p.x, p.y, _base_h(p.x, p.y))
             N, Rhat, H, k = self._curvature(
@@ -231,7 +249,7 @@ class FDPipeline:
                 f"outside chart domain ({self.metric.domain_desc})") from None
         return {"L": L, "g": g, "G": G, "N": N[0], "Rhat": Rhat[0],
                 "H": H[0], "k": float(k[0]),
-                "C": L * ((k[1:n + 1] - k[n + 1:]) / (2.0 * h))}
+                "C": L * ((k[1:n] - k[n:]) / (2.0 * h) @ w)}
 
     def c_form(self, p: SamplePoint):
         """C = L dk/dy at p, as :meth:`tensors` computes it."""

@@ -115,6 +115,18 @@ def check_L(L, p: SamplePoint) -> float:
     return val
 
 
+def check_finite(what, a, x, y):
+    """DomainError unless a, the values of ``what`` at (x, y), or at each
+    point of a batch (..., n) whose axes lead a's, is finite: E = L^2 / 2
+    and its differences overflow where L^2 is near the end of float range
+    (run them under np.errstate, so that they do so silently)."""
+    ok = np.isfinite(a).reshape(x.shape[:-1] + (-1,)).all(axis=-1)
+    if not ok.all():
+        i = tuple(np.argwhere(~ok)[0])  # () for one point
+        raise DomainError(f"{what} out of float range at x={x[i].tolist()}, "
+                          f"y={y[i].tolist()}")
+
+
 def check_g(g, x, y):
     """DegenerateMetric unless g at (x, y), or each g (..., n, n) of a
     batch at (x, y) (..., n), is finite and has its least eigenvalue
@@ -127,6 +139,7 @@ def check_g(g, x, y):
     if np.any(bad):
         i = tuple(np.argwhere(bad)[0])  # () for one point
         raise DegenerateMetric(
-            f"fundamental tensor not positive definite at x={x[i].tolist()}, "
-            f"y={y[i].tolist()} (smallest eigenvalue {ev[i][0]:.3e})",
-            min_eigenvalue=float(ev[i][0]))
+            "fundamental tensor "
+            f"{'not positive definite' if ok[i] else 'out of float range'} "
+            f"at x={x[i].tolist()}, y={y[i].tolist()} (smallest eigenvalue "
+            f"{ev[i][0]:.3e})", min_eigenvalue=float(ev[i][0]))

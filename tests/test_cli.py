@@ -121,6 +121,27 @@ class TestTensors:
                             "range: 300\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command,backend", [
+        ("verify", "jet"), ("classify", "jet"), ("classify", "fd"),
+        ("tensors", "jet"), ("tensors", "fd")])
+    def test_overflowing_g_exit3(self, tmp_path, capsys, command, backend):
+        """An L whose square is finite at every sample point, but whose
+        E = L^2 / 2 overflows in the jet product or g in the FD stencils
+        (c = 1.2e154, L^2 up to about 1e308): one typed error line naming
+        the first sample point, exit 3, and no RuntimeWarning, on every
+        command and backend."""
+        cfg = write_config(tmp_path, "c.json", {
+            "metric": {"dsl": "sqrt(norm2(y)) * c", "dimension": 3,
+                       "constants": {"c": 1.2e154}},
+            "sampling": {"count": 3, "seed": 0},
+        })
+        assert main([command, "--config", cfg, "--backend", backend]) == 3
+        err = capsys.readouterr().err
+        what = {"jet": "E = L^2/2 or g", "fd": "fundamental tensor"}[backend]
+        assert err.startswith(f"error: {what} out of float range at x=[")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("metric,sampling,reason", [
         ({"dsl": "-sqrt(norm2(y))", "dimension": 3}, {"count": 1},
          "L <= 0: 200"),

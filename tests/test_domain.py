@@ -167,7 +167,9 @@ class TestFDReach:
     def test_checks_exactly_the_points_it_evaluates(self, name):
         """Inside the domain the results are those without a domain, and
         each call of L is on exactly the batch of x that the domain
-        checked just before it, bit for bit."""
+        checked just before it, bit for bit.  The spray's mixed term moves
+        x along y/|y| of each spray point, so the x of the stencils are
+        2,301 distinct points (505 when it moved x along the axes)."""
         funk = catalog.funk(3)
         p = SamplePoint([0.9, 0.0, 0.0], self.Y)
         calls = []
@@ -191,7 +193,7 @@ class TestFDReach:
             assert np.array_equal(np.broadcast_to(checked, evaluated.shape),
                                   evaluated)
         rows = {tuple(r) for _, X in calls for r in X.reshape(-1, 3).tolist()}
-        assert len(rows) == 505
+        assert len(rows) == 2301
         for a, b in (zip(got.values(), want.values()) if name == "tensors"
                      else [(got, want)]):
             assert np.array_equal(a, b)
