@@ -368,8 +368,8 @@ def _grid_d2(f, x, y, h):
 def _loop_along_y(f, x, y, h):
     """_d2_along_y by a loop over its 4n points, one at a time."""
     r = np.linalg.norm(y, axis=-1, keepdims=True)
-    F = [[f(x + si * (y / r) * h, _shift(y, h, (j, sj))) for j in range(3)]
-         for si, sj in fdpipe._SIGNS]
+    F = [[f(x + si * (y / r) * h, _shift(y, h, (j, sj)))
+          for j in range(len(y))] for si, sj in fdpipe._SIGNS]
     F = np.moveaxis(np.array(F), (0, 1), (-2, -1))
     val = F[..., 0, :] - F[..., 1, :] - F[..., 2, :] + F[..., 3, :]
     return val * (r[0] / (4.0 * h * h))
