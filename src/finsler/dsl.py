@@ -24,6 +24,7 @@ the first error the parser reads, left to right.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -85,48 +86,17 @@ def _tokenize(source: str):
 
 @dataclass(frozen=True)
 class Node:
+    """One node of the tree.  op is the operator or function read (``+ - *
+    / ^ sqrt dot norm2``), ``"neg"`` for unary minus, or a leaf kind:
+    ``"num"``, ``"const"``, ``"x"`` or ``"y"`` (a coordinate component),
+    or ``"vec"`` (a vector symbol, inside dot/norm2 only).  args holds the
+    operand nodes, or the leaf's one value: the number, the constant's
+    name, the 0-based index, or ``"x"`` or ``"y"``."""
+
+    op: str
+    args: tuple
     # (line, column), 1-based; == compares trees without their positions
     pos: Tuple[int, int] = field(compare=False)
-
-
-@dataclass(frozen=True)
-class Num(Node):
-    value: float
-
-
-@dataclass(frozen=True)
-class Const(Node):
-    name: str
-
-
-@dataclass(frozen=True)
-class Var(Node):
-    group: str  # 'x' or 'y'
-    index: int  # 0-based
-
-
-@dataclass(frozen=True)
-class VecRef(Node):
-    group: str  # 'x' or 'y' as a whole vector (inside dot/norm2 only)
-
-
-@dataclass(frozen=True)
-class Unary(Node):
-    op: str
-    arg: Node
-
-
-@dataclass(frozen=True)
-class Binary(Node):
-    op: str
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Call(Node):
-    func: str
-    args: tuple
 
 
 @dataclass(frozen=True)
@@ -186,7 +156,7 @@ class _Parser:
         while self.at(*ops[:2]):
             t = self.next()
             right, hr = self.expr(ops[2:]) if ops[2:] else self.unary()
-            node, h = Binary(t.pos, t.text, node, right), self.level(t, h, hr)
+            node, h = Node(t.text, (node, right), t.pos), self.level(t, h, hr)
         return node, h
 
     def unary(self):
@@ -197,20 +167,20 @@ class _Parser:
         if t.text == "-":
             self.next()
             arg, h = self.unary()
-            node, h = Unary(t.pos, "-", arg), self.level(t, h)
+            node, h = Node("neg", (arg,), t.pos), self.level(t, h)
         else:
             node, h = self.atom()
             if self.at("^"):
                 t = self.next()
                 right, hr = self.unary()
-                node, h = Binary(t.pos, "^", node, right), self.level(t, h, hr)
+                node, h = Node("^", (node, right), t.pos), self.level(t, h, hr)
         self.open -= 1
         return node, h
 
     def atom(self):
         t = self.next()
         if t.kind == "num":
-            return Num(t.pos, float(t.text)), 1
+            return Node("num", (float(t.text),), t.pos), 1
         if t.text == "(":
             node, h = self.expr()
             self.expect_op(")")
@@ -238,10 +208,10 @@ class _Parser:
             raise ArityError(
                 f"{name} takes {want} argument(s), got {len(args)}", *t.pos)
         args, heights = zip(*args)
-        if vector_call and not all(isinstance(a, VecRef) for a in args):
+        if vector_call and not all(a.op == "vec" for a in args):
             raise ArityError(f"{name} arguments must be the vector symbols "
                              "'x' or 'y'", *t.pos)
-        return Call(t.pos, name, args), self.level(t, *heights)
+        return Node(name, args, t.pos), self.level(t, *heights)
 
     def name_atom(self, t):
         name = t.text
@@ -250,16 +220,16 @@ class _Parser:
                 raise DslSyntaxError(
                     f"vector symbol {name!r} is only valid inside "
                     "dot(...) or norm2(...)", *t.pos)
-            return VecRef(t.pos, name)
+            return Node("vec", (name,), t.pos)
         if name[0] in "xy" and name[1:].isdigit():
             # a numeral int() rejects, such as x², is out of range too
             idx = int(name[1:]) if name[1:].isdecimal() else 0
             if not 1 <= idx <= self.n:
                 raise IndexOutOfRange(
                     f"{name}: index must be in 1..{self.n}", *t.pos)
-            return Var(t.pos, name[0], idx - 1)
+            return Node(name[0], (idx - 1,), t.pos)
         self.constants.add(name)
-        return Const(t.pos, name)
+        return Node("const", (name,), t.pos)
 
 
 def parse_metric(source: str, n: int) -> MetricAst:
@@ -295,43 +265,35 @@ def _named(node, op):
         _fail(str(e), node)
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def _ev(node, x, y, consts):
     # a module-level walk: a nested recursive closure would be a reference
     # cycle holding x and y until the cyclic garbage collector runs
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return float(consts[node.name])
-    if isinstance(node, Var):
-        return (x if node.group == "x" else y)[node.index]
-    if isinstance(node, Unary):
-        return -_ev(node.arg, x, y, consts)
-    if isinstance(node, Binary):
-        a = _ev(node.left, x, y, consts)
-        b = _ev(node.right, x, y, consts)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if _near_zero(b):
-                _fail("division by zero", node)
-            return a / b
-        return _named(node, lambda: jets.jpow(a, b))  # '^'
-    if isinstance(node, Call):
-        if node.func == "sqrt":
-            arg = _ev(node.args[0], x, y, consts)
-            return _named(node, lambda: jets.sqrt(arg))
+    op, args = node.op, node.args
+    if op == "num":
+        return args[0]
+    if op == "const":
+        return float(consts[args[0]])
+    if op == "x" or op == "y":
+        return (x if op == "x" else y)[args[0]]
+    if op == "dot" or op == "norm2":  # norm2(u) is dot(u, u)
         vecs = {"x": x, "y": y}
-        if node.func == "dot":
-            return jets.dot(vecs[node.args[0].group],
-                            vecs[node.args[1].group])
-        if node.func == "norm2":
-            u = vecs[node.args[0].group]
-            return jets.dot(u, u)
-    raise EvalDomainError(f"cannot evaluate node {node!r}")
+        return jets.dot(vecs[args[0].args[0]], vecs[args[-1].args[0]])
+    a = _ev(args[0], x, y, consts)
+    if op == "neg":
+        return -a
+    if op == "sqrt":
+        return _named(node, lambda: jets.sqrt(a))
+    b = _ev(args[1], x, y, consts)
+    if op == "/":
+        if _near_zero(b):
+            _fail("division by zero", node)
+        return a / b
+    if op == "^":
+        return _named(node, lambda: jets.jpow(a, b))
+    return _ARITH[op](a, b)
 
 
 def eval_ast(ast: MetricAst, x, y, constants: dict = None):
@@ -364,33 +326,31 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 def ast_to_source(node, parent_prec=0) -> str:
     if isinstance(node, MetricAst):
         return ast_to_source(node.root)
-    if isinstance(node, Num):
-        text = repr(node.value)
+    if not isinstance(node, Node):
+        raise TypeError(f"not an AST node: {node!r}")
+    op, args = node.op, node.args
+    if op == "num":  # a literal past the float range reads as inf
+        text = repr(args[0]) if args[0] < np.inf else "1e999"
         return text[:-2] if text.endswith(".0") else text
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Var):
-        return f"{node.group}{node.index + 1}"
-    if isinstance(node, VecRef):
-        return node.group
-    if isinstance(node, Unary):
-        inner = ast_to_source(node.arg, _PREC["neg"])
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > _PREC["neg"] else text
-    if isinstance(node, Binary):
-        prec = _PREC[node.op]
-        left = ast_to_source(node.left, prec)
-        # right operand of -, / needs a strictly higher context; ^ is
-        # right-associative so its right side reuses the same precedence
-        rprec = prec if node.op in ("+", "*", "^") else prec + 1
-        right = ast_to_source(node.right, rprec)
-        text = f"{left} {node.op} {right}" if node.op != "^" \
-            else f"{left}^{right}"
-        return f"({text})" if parent_prec > prec else text
-    if isinstance(node, Call):
-        args = ", ".join(ast_to_source(a) for a in node.args)
-        return f"{node.func}({args})"
-    raise TypeError(f"not an AST node: {node!r}")
+    if op == "x" or op == "y":
+        return f"{op}{args[0] + 1}"
+    if op == "const" or op == "vec":
+        return args[0]
+    if op not in _PREC:  # a call
+        return f"{op}({', '.join(ast_to_source(a) for a in args)})"
+    prec = _PREC[op]
+    if op == "neg":
+        text = "-" + ast_to_source(args[0], prec)
+    else:
+        # the right operand of the left-associative + - * / needs a
+        # strictly higher context; ^ takes an atom on its left and a
+        # unary operand on its right
+        lprec, rprec = ((prec + 1, _PREC["neg"]) if op == "^"
+                        else (prec, prec + 1))
+        left = ast_to_source(args[0], lprec)
+        right = ast_to_source(args[1], rprec)
+        text = f"{left}^{right}" if op == "^" else f"{left} {op} {right}"
+    return f"({text})" if parent_prec > prec else text
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,11 @@ class ChartJets:
     @cached_property
     def k(self):
         tr, L = shared([self.H.trace(0, 1), self.L])
-        return tr * (L * L).reciprocal() * (1.0 / (self.n - 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            L2 = L * L
+            inv = L2.reciprocal()
+        check_finite("L^2", np.append(L2.c, inv.c), self.p.x, self.p.y)
+        return tr * inv * (1.0 / (self.n - 1))
 
     # ---- scalar-curvature ladder -------------------------------------
     @cached_property

@@ -219,7 +219,10 @@ class FDPipeline:
             "...mc,...ijm->...ijc", N, np.einsum("...imj->...ijm", Gyy))
         Rhat = dN - np.swapaxes(dN, -1, -2)
         H = np.einsum("...k,...ikj->...ij", y, Rhat)
-        k = np.trace(H, axis1=-2, axis2=-1) / ((y.shape[-1] - 1) * L * L)
+        with np.errstate(over="ignore"):
+            L2 = (y.shape[-1] - 1) * L * L
+        check_finite("L^2", L2, x, y)  # at each direction
+        k = np.trace(H, axis1=-2, axis2=-1) / L2
         return N, Rhat, H, k
 
     def tensors(self, p: SamplePoint):

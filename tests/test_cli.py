@@ -35,6 +35,18 @@ def funk_cfg(tmp_path):
     })
 
 
+# the command and backend pairs
+RUNS = [("verify", "jet"), ("classify", "jet"), ("classify", "fd"),
+        ("tensors", "jet"), ("tensors", "fd")]
+
+# what overflows first for L = |y| c at 3 points, seed 0, by backend
+OVERFLOW = {
+    1.2e154: {"jet": "E = L^2/2 or g", "fd": "fundamental tensor"},
+    1e154: {"jet": "E = L^2/2 or g", "fd": "fundamental tensor"},
+    5e153: {"jet": "L^2", "fd": "L^2"},
+}
+
+
 class TestTensors:
     def test_euclidean_all_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "e.json", {
@@ -100,9 +112,7 @@ class TestTensors:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c", [1e200, 1e-200])
-    @pytest.mark.parametrize("command,backend", [
-        ("verify", "jet"), ("classify", "jet"), ("classify", "fd"),
-        ("tensors", "jet"), ("tensors", "fd")])
+    @pytest.mark.parametrize("command,backend", RUNS)
     def test_square_of_L_out_of_range_exit3(self, tmp_path, capsys, command,
                                             backend, c):
         """An L that is a finite float but whose square is not a positive
@@ -122,25 +132,48 @@ class TestTensors:
         assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command,backend", [
-        ("verify", "jet"), ("classify", "jet"), ("classify", "fd"),
-        ("tensors", "jet"), ("tensors", "fd")])
-    def test_overflowing_g_exit3(self, tmp_path, capsys, command, backend):
+    @pytest.mark.parametrize("command,backend,c", [
+        pytest.param(command, backend, c, id=f"{command}-{backend}" + (
+            "" if c == 1.2e154 else f"-c{c:g}"))
+        for c in OVERFLOW for command, backend in RUNS])
+    def test_overflowing_g_exit3(self, tmp_path, capsys, command, backend,
+                                 c):
         """An L whose square is finite at every sample point, but whose
         E = L^2 / 2 overflows in the jet product or g in the FD stencils
-        (c = 1.2e154, L^2 up to about 1e308): one typed error line naming
-        the first sample point, exit 3, and no RuntimeWarning, on every
-        command and backend."""
+        (c = 1.2e154 or 1e154, L^2 up to about 1e308), or whose (n-1) L^2
+        or the series of 1 / L^2 overflows in k (c = 5e153): one typed
+        error line naming a sample point, exit 3, and no RuntimeWarning,
+        on every command and backend."""
         cfg = write_config(tmp_path, "c.json", {
             "metric": {"dsl": "sqrt(norm2(y)) * c", "dimension": 3,
-                       "constants": {"c": 1.2e154}},
+                       "constants": {"c": c}},
             "sampling": {"count": 3, "seed": 0},
         })
         assert main([command, "--config", cfg, "--backend", backend]) == 3
         err = capsys.readouterr().err
-        what = {"jet": "E = L^2/2 or g", "fd": "fundamental tensor"}[backend]
+        what = OVERFLOW[c][backend]
         assert err.startswith(f"error: {what} out of float range at x=[")
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e153, 3e153])
+    @pytest.mark.parametrize("command,backend", RUNS)
+    def test_near_overflow_gives_a_verdict(self, tmp_path, capsys, command,
+                                           backend, c):
+        """Below the c of test_overflowing_g_exit3 the same Euclidean L
+        runs to a verdict, with nothing on standard error."""
+        cfg = write_config(tmp_path, "c.json", {
+            "metric": {"dsl": "sqrt(norm2(y)) * c", "dimension": 3,
+                       "constants": {"c": c}},
+            "sampling": {"count": 3, "seed": 0},
+        })
+        out = str(tmp_path / "r.jsonl")
+        assert main([command, "--config", cfg, "--backend", backend,
+                     "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "classify":
+            assert "dsl-metric: constant (k=0.0000" in captured.out
 
     @pytest.mark.parametrize("metric,sampling,reason", [
         ({"dsl": "-sqrt(norm2(y))", "dimension": 3}, {"count": 1},
@@ -457,6 +490,14 @@ class TestConfigValidation:
         {"note": float("nan")},
         {"metric": {"catalog": "funk", "dimension": 3,
                     "constants": {"b": float("nan")}}},
+        [{"metric": {"catalog": "funk", "dimension": 3}}],
+        {"metric": ["funk"]},
+        {"metric": {"catalog": "funk", "dimension": 3, "params": [1]}},
+        {"sampling": [1]},
+        {"tolerances": 1e-6},
+        {"metric": {"catalog": "funk", "dimension": 1}},
+        {"backend": "gpu"},
+        {"backend": "fd"},
     ], ids=["seed-string", "seed-float", "seed-negative", "count-bool",
             "radius-bool", "radius-infinity", "radius-1e308",
             "radius-square-overflow", "radius-huge-int", "tolerance-bool",
@@ -470,11 +511,16 @@ class TestConfigValidation:
             "name-number", "output-list", "output-bool", "output-int",
             "config-key-misspelled", "metric-key-misspelled",
             "sampling-key-misspelled", "nan-unknown-key",
-            "nan-unread-constant"])
+            "nan-unread-constant", "root-list", "metric-list", "params-list",
+            "sampling-list", "tolerances-number", "dimension-1",
+            "backend-unknown", "verify-backend-fd"])
     def test_bad_value_config_error(self, tmp_path, capsys, change):
         cfg = {"metric": {"catalog": "funk", "dimension": 3},
                "sampling": {"count": 1, "seed": 0}}
-        cfg.update(change)
+        if isinstance(change, dict):
+            cfg.update(change)
+        else:  # the root itself
+            cfg = change
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["verify", "--config", path]) == 2
         assert capsys.readouterr().err.startswith("config error:")

@@ -1,14 +1,18 @@
 """Sample points and the structural frame (L, g, g^-1, ell, phi, hbar)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from finsler import catalog
 from finsler.engine import chart
-from finsler.errors import DegenerateMetric, DomainError
+from finsler.errors import ConfigError, DegenerateMetric, DomainError
 from finsler.jets import sqrt
 from finsler.metric import FinslerMetric, SamplePoint
 from finsler.sampling import SamplingSpec, sample_points
+from finsler.scalarclass import classify
+from finsler.suites import run_suites
 
 P = SamplePoint([0.1, -0.2, 0.15], [0.7, -0.3, 1.1])
 
@@ -19,6 +23,23 @@ class TestTensorValue:
             SamplePoint([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])  # zero direction
         with pytest.raises(DomainError):
             SamplePoint([0.0, 0.0], [1.0, 0.0, 0.0])  # length mismatch
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: SamplePoint([0.0, np.nan, 0.0], [1.0, 0.0, 0.0]), DomainError,
+     "non-finite sample point"),
+    (lambda: catalog.funk(3).check_point(SamplePoint([0.0, 0.0], [1.0, 0.0])),
+     DomainError, "point dimension 2 != metric dimension 3"),
+    (lambda: classify(catalog.funk(3), SamplingSpec(count=1), backend="gpu"),
+     ConfigError, "unknown backend 'gpu'"),
+    (lambda: run_suites(catalog.funk(3), [P], ["lemma99"]), KeyError,
+     "unknown suite 'lemma99'"),
+], ids=["point-nan", "point-dimension", "classify-backend", "unknown-suite"])
+def test_bad_input_typed_error(call, error, message):
+    """Each input check of the library's entry points raises its own type,
+    naming the fault, before any work."""
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def frame(metric, p):

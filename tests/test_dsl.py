@@ -124,6 +124,9 @@ class TestParsing:
         with pytest.raises(DslSyntaxError) as info:
             parse_metric(chain + " + 0 * y1", 3)
         assert (info.value.line, info.value.column) == (1, len(chain) + 2)
+        # printing adds no level: a negative exponent needs no parentheses
+        chain = "2^-y1" + " + 0 * y1" * (MAX_DEPTH - 3)
+        assert ast_to_source(parse_metric(chain, 3)) == chain
 
     def test_precedence(self):
         ast = parse_metric("1 + 2 * y1 ^ 2", 3)
@@ -375,3 +378,48 @@ def test_parse_returns_ast_or_typed_error(src):
         assert 1 <= e.column <= len(lines[e.line - 1]) + 1
     else:
         assert isinstance(ast, MetricAst)
+
+
+_LEAVES = st.sampled_from(["0", "2", "0.25", ".5", "3.", "007", "1e-3",
+                           "2.5E+2", "1e999", "1e-999", "a", "b", "x1", "x3",
+                           "y1", "y2", "dot(x, y)", "norm2(y)"])
+
+
+@st.composite
+def _valid_sources(draw, depth=4):
+    """Sources the grammar accepts: a tree depth operators deep over
+    numbers (a literal past the float range reads as inf, one below it as
+    0), constants, components and vector calls, each operator binary,
+    unary minus or sqrt, and each operand of a binary operator
+    parenthesized or not."""
+    if not depth:
+        return draw(_LEAVES)
+    form = draw(st.sampled_from(["binary", "binary", "-", "sqrt"]))
+    inner = [draw(_valid_sources(depth - 1))
+             for _ in range(2 if form == "binary" else 1)]
+    if form == "binary":
+        left, right = (f"({s})" if draw(st.booleans()) else s for s in inner)
+        return f"{left} {draw(st.sampled_from('+-*/^'))} {right}"
+    return f"-{inner[0]}" if form == "-" else f"sqrt({inner[0]})"
+
+
+def _value_or_error(ast):
+    try:
+        return repr(eval_ast(ast, [0.1, -0.2, 0.3], [0.7, -0.3, 1.1],
+                             {"a": 0.5, "b": -1.5}))
+    except EvalDomainError as e:
+        return type(e), str(e)
+
+
+@given(_valid_sources())
+@settings(max_examples=300, deadline=None)
+def test_printed_source_round_trips(src):
+    """The printed source parses back to the same tree, printing it again
+    gives the same text, and both trees give the same value or the same
+    typed error: each operand that would reassociate is parenthesized."""
+    ast = parse_metric(src, 3)
+    printed = ast_to_source(ast)
+    again = parse_metric(printed, 3)
+    assert again == ast, printed
+    assert ast_to_source(again) == printed
+    assert _value_or_error(again) == _value_or_error(ast)

@@ -198,6 +198,11 @@ IDENTITIES = {
     "exp-of-log": lambda u: [exp(log(u)), u, log(u)],
     "power-sum": lambda u: [jpow(u, 0.3) * jpow(u, 1.45), jpow(u, 1.75),
                             jpow(u, 0.3), jpow(u, 1.45)],
+    "power-zero": lambda u: [jpow(u, 0), u.space.constant(np.ones(u.shape)),
+                             u],
+    "quotients": lambda u: [(2.0 / u) * (u / 2.0),
+                            u.space.constant(np.ones(u.shape)),
+                            2.0 / u, u / 2.0],
 }
 
 
@@ -217,6 +222,9 @@ class TestSeries:
         scalar = np.stack([f(u).c for u in self.us], axis=-1)
         np.testing.assert_allclose(stacked, scalar, rtol=0,
                                    atol=1e-14 * np.abs(scalar).max())
+        # on a float, f is the NumPy function: the series' value
+        for u in self.us:
+            assert f(u.value()) == pytest.approx(f(u).value(), rel=1e-14)
 
     def test_sin_cos_pythagoras(self):
         for u in self.us:
